@@ -5,18 +5,12 @@ hexahedra, to zero-thickness frictional interface elements carrying
 piecewise-constant traction multipliers.  Pressure changes in reservoir
 compartments load the medium one-way; an active-set Coulomb algorithm with
 optional slip weakening resolves stick, slip and opening on the faults.
-
-Submodules are imported lazily so that the command line interface can pin
-thread counts before any BLAS-backed module loads.
 """
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "analysis",
     "assembly",
-    "cli",
-    "config",
     "constitutive",
     "contact",
     "mesh",
@@ -24,7 +18,6 @@ __all__ = [
     "scenario",
     "solver",
     "spring1d",
-    "vtkio",
 ]
 
 

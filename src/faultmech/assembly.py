@@ -231,7 +231,6 @@ class SystemBlocks:
     d_block: sparse.csr_matrix | None  # d(r_t)/du
     e_block: sparse.csr_matrix | None  # d(r_t)/dt
     g_loc: np.ndarray                  # (m, 3) local jumps
-    dg_t: np.ndarray                   # (m, 2) kinematic tangential increment
     dg_slip: np.ndarray                # (m, 2) plastic increment (creep removed)
 
 
@@ -287,7 +286,7 @@ def assemble_system(ops: InterfaceOps, k_csr, u, t_loc, *, status, g_t_prev,
     r_t[row_mask] += stab_term[row_mask]
 
     if not want_jacobian:
-        return SystemBlocks(r_u, r_t.ravel(), None, None, g_loc, dg_t, dg_slip)
+        return SystemBlocks(r_u, r_t.ravel(), None, None, g_loc, dg_slip)
 
     ndof = u.size
     d_block = sparse.diags(row_mask.ravel().astype(float)) @ ops.jump_csr
@@ -353,4 +352,4 @@ def assemble_system(ops: InterfaceOps, k_csr, u, t_loc, *, status, g_t_prev,
     e_stab = sparse.kron(stab, sparse.eye(3), format="csr")
     e_block = e_block + sparse.diags(row_mask.ravel().astype(float)) @ e_stab
 
-    return SystemBlocks(r_u, r_t.ravel(), d_block, e_block, g_loc, dg_t, dg_slip)
+    return SystemBlocks(r_u, r_t.ravel(), d_block, e_block, g_loc, dg_slip)

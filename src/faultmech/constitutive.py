@@ -1,4 +1,4 @@
-"""Linear elasticity, effective stress and rate-independent fault friction.
+"""Linear elasticity and rate-independent fault friction.
 
 Stress is tension-positive throughout; compressive tractions and stresses are
 negative.  Voigt vectors are ordered (xx, yy, zz, yz, xz, xy) with engineering
@@ -13,7 +13,6 @@ import numpy as np
 __all__ = [
     "ElasticMaterial",
     "FrictionLaw",
-    "effective_stress",
     "friction_coefficient",
     "friction_derivative",
     "stiffness_tensor",
@@ -62,17 +61,6 @@ def stiffness_tensor(material: ElasticMaterial) -> np.ndarray:
     c[np.arange(3), np.arange(3)] += 2.0 * g
     c[np.arange(3, 6), np.arange(3, 6)] = g
     return c
-
-
-def effective_stress(strain: np.ndarray, dp: float, material: ElasticMaterial) -> np.ndarray:
-    """Total stress change for a strain change and a pore-pressure change.
-
-    Returns C:eps - biot*dp on the diagonal components; with tension-positive
-    signs a pressure drop (dp < 0) adds an isotropic tensile contribution.
-    """
-    sig = stiffness_tensor(material) @ np.asarray(strain, dtype=float)
-    sig[:3] -= material.biot * dp
-    return sig
 
 
 @dataclass(frozen=True)

@@ -93,21 +93,6 @@ def regularized_directions(dg_t, d_ref):
     return d, ds, small
 
 
-def slip_targets(t_local, dg_t, slip_acc, d_ref, law: FrictionLaw, tols: ContactTols):
-    """Capacity-saturated shear traction for sliding elements.
-
-    The magnitude is the friction capacity at the element's normal
-    traction and at the accumulated slip including the current
-    increment; the direction follows the increment (or d_ref when the
-    increment is below the directional threshold).  Returns (n, 2).
-    """
-    t_local = np.asarray(t_local, dtype=float)
-    slip_acc = np.asarray(slip_acc, dtype=float)
-    d, ds, _ = regularized_directions(dg_t, np.asarray(d_ref, dtype=float))
-    cap = tau_max(law, t_local[:, 0], slip_acc + ds)
-    return cap[:, None] * d
-
-
 @dataclass(frozen=True)
 class KKTReport:
     """Worst-case contact-consistency violations over an interface set."""

@@ -252,9 +252,6 @@ class Mesh:
     def n_cells(self):
         return int(self.hexes.shape[0])
 
-    def cell_centroid(self, cid):
-        return self.points[self.hexes[cid]].mean(axis=0)
-
     def cell_centroids(self):
         return self.points[self.hexes].mean(axis=1)
 

@@ -14,10 +14,7 @@ __all__ = [
     "TablePressure",
     "UniformCompartmentPressure",
     "compartment_schedule",
-    "fault_pressure",
     "interface_pressure",
-    "phase_labels",
-    "phase_end_steps",
     "schedule_times",
 ]
 
@@ -48,22 +45,6 @@ def schedule_times(n_cycles: int = 1) -> np.ndarray:
     return np.asarray(times)
 
 
-def phase_labels(n_cycles: int = 1):
-    labels = ["PP"] * 10 + ["CGI"] * 12
-    for _ in range(n_cycles):
-        labels += ["UGS_prod"] * 3 + ["UGS_inj"] * 3
-    return tuple(labels)
-
-
-def phase_end_steps(n_cycles: int = 1):
-    """Step indices at the end of each loading phase."""
-    out = {"PP": 10, "CGI": 22}
-    for c in range(n_cycles):
-        out[f"UGS_prod_{c + 1}"] = 25 + 6 * c
-        out[f"UGS_inj_{c + 1}"] = 28 + 6 * c
-    return out
-
-
 def _dp_of_time(t, n_cycles):
     knots_t = [0.0, 10.0 * YEAR, 12.0 * YEAR]
     knots_p = [0.0, -20.0e6, 0.0]
@@ -81,16 +62,6 @@ def compartment_schedule(step: int, n_cycles: int = 1) -> float:
     if not 0 <= step < times.size:
         raise PressureError(f"step {step} outside schedule 0..{times.size - 1}")
     return _dp_of_time(times[step], n_cycles)
-
-
-def fault_pressure(mode: str, dp_bottom: float, dp_top: float) -> float:
-    """Pressure change acting inside a fault: zero when sealing, the side
-    average when non-sealing."""
-    if mode == "sealing":
-        return 0.0
-    if mode == "non_sealing":
-        return 0.5 * (dp_bottom + dp_top)
-    raise PressureError(f"unknown hydraulic mode {mode!r}; expected one of {_MODES}")
 
 
 def interface_pressure(mesh, cell_dp, hydraulic_modes) -> np.ndarray:

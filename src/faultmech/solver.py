@@ -8,13 +8,15 @@ and updating the partition outside it until it settles.
 The linear solve eliminates the displacement block with a factorization
 of the reduced stiffness (computed once; the partition only changes the
 small traction rows), forming a dense Schur complement on the interface
-unknowns.  A residual check guards the result; on failure the full
-saddle-point matrix is factored sparsely as a fallback.
+unknowns.  A residual check guards the result; a singular or inaccurate
+solve raises SolverError.
 """
 from __future__ import annotations
 
+import hashlib
 import itertools
-from dataclasses import dataclass, field, replace
+import json
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 from scipy import linalg as dla
@@ -45,9 +47,7 @@ __all__ = [
     "SolverConfig",
     "SolverError",
     "StepInfo",
-    "StepRecord",
     "StepState",
-    "load_checkpoint",
 ]
 
 
@@ -92,7 +92,11 @@ class SolverConfig:
 
 @dataclass
 class StepState:
-    """Converged state after a loading step (cumulative quantities)."""
+    """Converged state after a loading step (cumulative quantities).
+
+    Every state a march records is a valid start state for the next step.
+    States are never modified in place, so they may share arrays.
+    """
 
     step: int
     u: np.ndarray
@@ -105,34 +109,21 @@ class StepState:
     dg_t: np.ndarray         # tangential slip increment of this step
     g_n_book: np.ndarray     # constraint-consistent normal gap
     slip_acc_start: np.ndarray
+    time: float = 0.0        # schedule time, set by march
+    info: StepInfo | None = None  # counters of the step that produced it
 
 
 @dataclass
 class StepInfo:
     newton_iters: list = field(default_factory=list)
     newton_residuals: list = field(default_factory=list)
-    linear_fallbacks: int = 0
+    linear_fallbacks: int = 0  # always 0: nothing falls back; bench/tracing.py reads it
     cycle_recoveries: int = 0
     jump_events: int = 0
 
     @property
     def activeset_iters(self):
         return len(self.newton_iters)
-
-
-@dataclass
-class StepRecord:
-    step: int
-    time: float
-    u: np.ndarray
-    t_loc: np.ndarray
-    status: np.ndarray
-    slip_acc: np.ndarray
-    slip_acc_start: np.ndarray
-    g_loc: np.ndarray
-    dg_t: np.ndarray
-    g_n_book: np.ndarray
-    info: StepInfo | None
 
 
 @dataclass
@@ -144,22 +135,17 @@ class History:
         return self.records[-1]
 
 
-def load_checkpoint(path) -> StepState:
-    with np.load(path) as data:
-        m = data["t_loc"].shape[0]
-        return StepState(
-            step=int(data["step"]),
-            u=data["u"],
-            t_loc=data["t_loc"],
-            status=data["status"],
-            slip_acc=data["slip_acc"],
-            g_t_prev=data["g_t_prev"],
-            d_ref=data["d_ref"],
-            g_loc=data["g_loc"] if "g_loc" in data else np.zeros((m, 3)),
-            dg_t=np.zeros((m, 2)),
-            g_n_book=np.zeros(m),
-            slip_acc_start=data["slip_acc"].copy(),
-        )
+def _fingerprint(mesh, materials, law, t0, config, tols):
+    """SHA-256 of everything that defines the discrete model."""
+    iset = mesh.interfaces
+    digest = hashlib.sha256(
+        repr((materials, law, config, tols, iset.fault_names)).encode())
+    arrays = [mesh.points, mesh.hexes, mesh.regions, mesh.bounds, t0]
+    arrays += [v for v in vars(iset).values() if isinstance(v, np.ndarray)]
+    for a in arrays:
+        digest.update(repr((a.dtype.str, a.shape)).encode())
+        digest.update(np.ascontiguousarray(a).tobytes())
+    return digest.hexdigest()
 
 
 class ContactSolver:
@@ -173,6 +159,8 @@ class ContactSolver:
         self.config = config or SolverConfig()
         self.tols = tols or ContactTols()
         self.t0 = np.asarray(t0_loc, dtype=float).reshape(-1, 3)
+        self.fingerprint = _fingerprint(mesh, self.materials, law, self.t0,
+                                        self.config, self.tols)
 
         self.k_csr, cell_young = stiffness_matrix(mesh, self.materials)
         self.ops = interface_blocks(mesh)
@@ -196,7 +184,6 @@ class ContactSolver:
         p_free = sparse.csc_matrix(
             (np.ones(nfree), (self.free_idx, np.arange(nfree))), shape=(ndof, nfree)
         )
-        self.p_free = p_free
         self.k_ff = (p_free.T @ self.k_csr @ p_free).tocsc()
         self.lu = splu(self.k_ff)
         self.c_ff = (p_free.T @ self.ops.coupling_csr).tocsr()
@@ -209,7 +196,6 @@ class ContactSolver:
             pos[self.free_idx] = np.arange(nfree)
             fdofs = np.unique(self.ops.cols)
             fdofs = fdofs[pos[fdofs] >= 0]
-            self.fd_global = fdofs
             self.fd_pos = pos[fdofs]
             self.p_fd = sparse.csc_matrix(
                 (np.ones(fdofs.size), (fdofs, np.arange(fdofs.size))),
@@ -222,7 +208,6 @@ class ContactSolver:
                 x = self.lu.solve(self.c_ff[:, c0:c1].toarray())
                 self.y_sub[:, c0:c1] = x[self.fd_pos]
         else:
-            self.fd_global = np.zeros(0, dtype=int)
             self.fd_pos = np.zeros(0, dtype=int)
             self.p_fd = sparse.csc_matrix((ndof, 0))
             self.y_sub = np.zeros((0, 0))
@@ -255,12 +240,10 @@ class ContactSolver:
 
     # ------------------------------------------------------------------
 
-    def _linear_solve(self, sys, info: StepInfo):
+    def _linear_solve(self, sys):
         ru_f = sys.r_u[self.free_idx]
-        m = self.ops.count
-        if m == 0:
-            du = -self.lu.solve(ru_f)
-            return du, np.zeros(0)
+        if self.ops.count == 0:
+            return -self.lu.solve(ru_f), np.zeros(0)
 
         a = self.lu.solve(ru_f)
         d_fd = sys.d_block @ self.p_fd              # (3m, nfd)
@@ -268,31 +251,11 @@ class ContactSolver:
         rhs = d_fd @ a[self.fd_pos] - sys.r_t
         try:
             dt = dla.solve(s_mat, rhs)
-        except (dla.LinAlgError, ValueError):
-            dt = None
-        if dt is not None:
-            du = -self.lu.solve(ru_f + self.c_ff @ dt)
-            if self._solve_ok(sys, ru_f, du, dt, d_fd):
-                return du, dt
-
-        # a multiplier component can decouple entirely when boundary
-        # conditions pin every displacement it acts on; the minimum-norm
-        # solution leaves that gauge mode unexcited
-        info.linear_fallbacks += 1
-        dt = dla.lstsq(s_mat, rhs, lapack_driver="gelsd")[0]
+        except dla.LinAlgError as exc:
+            raise SolverError(f"Schur complement solve failed: {exc}") from exc
         du = -self.lu.solve(ru_f + self.c_ff @ dt)
-        if self._solve_ok(sys, ru_f, du, dt, d_fd):
-            return du, dt
-
-        d_f = sys.d_block @ self.p_free
-        jac = sparse.bmat([[self.k_ff, self.c_ff], [d_f, sys.e_block]], format="csc")
-        try:
-            sol = splu(jac).solve(np.concatenate([-ru_f, -sys.r_t]))
-        except RuntimeError as exc:
-            raise SolverError(f"linear solve failed: {exc}") from exc
-        du, dt = sol[: ru_f.size], sol[ru_f.size:]
         if not self._solve_ok(sys, ru_f, du, dt, d_fd):
-            raise SolverError("linear solve failed the residual check")
+            raise SolverError("Schur complement solve failed the residual check")
         return du, dt
 
     def _solve_ok(self, sys, ru_f, du, dt, d_fd):
@@ -337,7 +300,7 @@ class ContactSolver:
         return RESIDUAL_EPS * float(np.max(acc[self.free_idx], initial=0.0))
 
     def _newton(self, u, t, status, d_ref, slip_acc_start, g_t_prev, t_stab_ref,
-                dp_fault, f_div, info: StepInfo):
+                dp_fault, f_div):
         cfg = self.config
         norms = []
         su = st = 1.0
@@ -370,7 +333,7 @@ class ContactSolver:
                     f"Newton stalled after {it} iterations "
                     f"(|r_u|={ru_inf:.3e}, |r_t|={rt_inf:.3e})"
                 )
-            du, dt = self._linear_solve(sys, info)
+            du, dt = self._linear_solve(sys)
 
             alpha = 1.0
             best = None
@@ -393,7 +356,7 @@ class ContactSolver:
                 raise SolverError(
                     f"line search failed to reduce the residual "
                     f"(phi={phi:.3e}, best trial={best[0]:.3e}, "
-                    f"iter={it}, fallbacks={info.linear_fallbacks})"
+                    f"iter={it})"
                 )
             _, u, t = best
             iters += 1
@@ -401,18 +364,17 @@ class ContactSolver:
 
     # ------------------------------------------------------------------
 
-    def solve_step(self, state: StepState, cell_dp, fault_dp, step=None,
-                   jump_ok=False):
+    def solve_step(self, state: StepState, cell_dp, fault_dp, jump_ok=False):
         cfg = self.config
         m = self.ops.count
         f_div = divergence_forces(self.mesh, self.materials, cell_dp)
         dp_fault = np.zeros(m) if fault_dp is None else np.asarray(fault_dp, dtype=float)
 
-        u = state.u.copy()
-        t = state.t_loc.copy()
-        status = state.status.copy()
+        u = state.u
+        t = state.t_loc
+        status = state.status
         d_ref = state.d_ref.copy()
-        t_stab_ref = state.t_loc.copy()
+        t_stab_ref = state.t_loc
         frozen_slip = np.zeros(m, dtype=bool)
         flip_run = np.zeros(m, dtype=np.int64)
         contended = np.zeros(m, dtype=bool)
@@ -438,7 +400,7 @@ class ContactSolver:
                 sel = None
                 if jump_ok and not jumped and contended.any():
                     sel = self._jump_search(state, contended, t, t_stab_ref,
-                                            dp_fault, f_div, info)
+                                            dp_fault, f_div)
                 if sel is None:
                     raise SolverError(stuck_reason)
                 status, d_ref = sel
@@ -453,7 +415,7 @@ class ContactSolver:
                 continue
             u, t, sys, norms, iters = self._newton(
                 u, t, status, d_ref, state.slip_acc, state.g_t_prev, t_stab_ref,
-                dp_fault, f_div, info,
+                dp_fault, f_div,
             )
             info.newton_iters.append(iters)
             info.newton_residuals.append(norms)
@@ -540,22 +502,22 @@ class ContactSolver:
         g_n_book = np.where(status == OPEN, sys.g_loc[:, 0], r_rows[:, 0])
 
         new_state = StepState(
-            step=state.step + 1 if step is None else step,
+            step=state.step + 1,
             u=u,
             t_loc=t,
             status=status,
             slip_acc=slip_acc,
-            g_t_prev=sys.g_loc[:, 1:].copy(),
+            g_t_prev=sys.g_loc[:, 1:],
             d_ref=d_ref_new,
-            g_loc=sys.g_loc.copy(),
-            dg_t=sys.dg_slip.copy(),
+            g_loc=sys.g_loc,
+            dg_t=sys.dg_slip,
             g_n_book=g_n_book,
-            slip_acc_start=state.slip_acc.copy(),
+            slip_acc_start=state.slip_acc,
         )
         return new_state, info
 
     def _jump_search(self, state, contended, t_now, t_stab_ref, dp_fault,
-                     f_div, info):
+                     f_div):
         """Enumerate partitions of the contended elements for a snap event.
 
         Every combination of stick / slip-forward / slip-backward over the
@@ -599,9 +561,9 @@ class ContactSolver:
                     d_c[e] = dirs[k] if choice == 1 else -dirs[k]
             try:
                 u_c, t_c, sys_c, _, _ = self._newton(
-                    state.u.copy(), state.t_loc.copy(), status_c, d_c,
+                    state.u, state.t_loc, status_c, d_c,
                     state.slip_acc, state.g_t_prev, t_stab_ref, dp_fault,
-                    f_div, info,
+                    f_div,
                 )
             except SolverError:
                 continue
@@ -629,32 +591,21 @@ class ContactSolver:
     # ------------------------------------------------------------------
 
     def _save_checkpoint(self, path, state: StepState):
-        np.savez(
-            path,
-            step=state.step,
-            u=state.u,
-            t_loc=state.t_loc,
-            status=state.status,
-            slip_acc=state.slip_acc,
-            g_t_prev=state.g_t_prev,
-            d_ref=state.d_ref,
-            g_loc=state.g_loc,
-        )
+        info = None if state.info is None else asdict(state.info)
+        values = {f.name: getattr(state, f.name) for f in fields(StepState)}
+        values["info"] = json.dumps(info)
+        np.savez(path, fingerprint=self.fingerprint, **values)
 
-    def _record(self, state: StepState, time, info):
-        return StepRecord(
-            step=state.step,
-            time=float(time),
-            u=state.u.copy(),
-            t_loc=state.t_loc.copy(),
-            status=state.status.copy(),
-            slip_acc=state.slip_acc.copy(),
-            slip_acc_start=state.slip_acc_start.copy(),
-            g_loc=state.g_loc.copy(),
-            dg_t=state.dg_t.copy(),
-            g_n_book=state.g_n_book.copy(),
-            info=info,
-        )
+    def load_checkpoint(self, path) -> StepState:
+        """Read a state written by a march of a solver for the same model."""
+        with np.load(path) as data:
+            if "fingerprint" not in data or str(data["fingerprint"]) != self.fingerprint:
+                raise SolverError(f"checkpoint {path} belongs to a different model")
+            values = {f.name: data[f.name] for f in fields(StepState)}
+        info = json.loads(str(values["info"]))
+        values.update(step=int(values["step"]), time=float(values["time"]),
+                      info=None if info is None else StepInfo(**info))
+        return StepState(**values)
 
     def _advance(self, state, prev_cell, prev_fault, cell_dp, fault_dp, depth):
         """One load increment, bisecting the pressure interval on trouble.
@@ -677,18 +628,13 @@ class ContactSolver:
                                      mid_cell, mid_fault, depth + 1)
         full, info_b = self._advance(half, mid_cell, mid_fault,
                                      cell_dp, fault_dp, depth + 1)
-        info = StepInfo(
-            info_a.newton_iters + info_b.newton_iters,
-            info_a.newton_residuals + info_b.newton_residuals,
-            info_a.linear_fallbacks + info_b.linear_fallbacks,
-            info_a.cycle_recoveries + info_b.cycle_recoveries,
-            info_a.jump_events + info_b.jump_events,
-        )
+        info = StepInfo(**{f.name: getattr(info_a, f.name) + getattr(info_b, f.name)
+                           for f in fields(StepInfo)})
         merged = replace(
             full,
             step=state.step + 1,
             dg_t=half.dg_t + full.dg_t,
-            slip_acc_start=state.slip_acc.copy(),
+            slip_acc_start=state.slip_acc,
         )
         return merged, info
 
@@ -697,7 +643,8 @@ class ContactSolver:
         state = start_state if start_state is not None else self.initial_state()
         records = []
         if state.step == 0:
-            records.append(self._record(state, pressure.times[0], None))
+            state = replace(state, time=float(pressure.times[0]))
+            records.append(state)
         last = pressure.n_steps if stop_after is None else min(stop_after, pressure.n_steps)
         m = self.ops.count
         for step in range(state.step + 1, last + 1):
@@ -712,12 +659,12 @@ class ContactSolver:
             try:
                 state, info = self._advance(state, prev_cell, prev_fault,
                                             cell_dp, fault_dp, 0)
-                state = replace(state, step=step)
             except SolverError as exc:
                 if checkpoint is not None:
                     self._save_checkpoint(checkpoint, state)
                 raise SolverError(f"step {step}: {exc}") from exc
-            records.append(self._record(state, pressure.times[step], info))
+            state = replace(state, step=step, time=float(pressure.times[step]), info=info)
+            records.append(state)
             if checkpoint is not None:
                 self._save_checkpoint(checkpoint, state)
             if progress is not None:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from faultmech.constitutive import (
     ElasticMaterial,
     FrictionLaw,
-    effective_stress,
     friction_coefficient,
     friction_derivative,
     stiffness_tensor,
@@ -187,25 +186,6 @@ def test_stiffness_tensor_against_lame_oracle():
             ]
         )
         assert sig == pytest.approx(expected, rel=1e-12)
-
-
-def test_effective_stress_subtracts_pressure_on_diagonal():
-    eps = np.zeros(6)
-    dp = -5.0e6
-    sig = effective_stress(eps, dp, RESERVOIR)
-    # depletion with zero strain leaves an isotropic total-stress change +alpha*|dp|
-    assert sig[:3] == pytest.approx(-RESERVOIR.biot * dp * np.ones(3), rel=1e-14)
-    assert sig[3:] == pytest.approx(np.zeros(3), abs=1e-9)
-
-
-def test_effective_stress_biot_scaling():
-    mat = ElasticMaterial(name="m", density=2000.0, young=10e9, poisson=0.2, biot=0.7)
-    eps = np.array([1e-4, -2e-4, 3e-5, 1e-4, 0.0, -5e-5])
-    dp = 3.0e6
-    base = effective_stress(eps, 0.0, mat)
-    shifted = effective_stress(eps, dp, mat)
-    assert shifted[:3] == pytest.approx(base[:3] - 0.7 * dp, rel=1e-12)
-    assert shifted[3:] == pytest.approx(base[3:], rel=1e-12)
 
 
 def test_material_validation():

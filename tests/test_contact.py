@@ -1,4 +1,4 @@
-"""Stick/slip/open classification, slip targets, KKT residuals."""
+"""Stick/slip/open classification, slip directions, KKT residuals."""
 from __future__ import annotations
 
 import math
@@ -16,7 +16,7 @@ from faultmech.contact import (
     ContactTols,
     classify_all,
     kkt_report,
-    slip_targets,
+    regularized_directions,
 )
 
 MPA = 1.0e6
@@ -100,50 +100,18 @@ def test_classify_strictly_inside_is_stick(tn, frac, ang):
     assert _one(STICK, t) == STICK
 
 
-# --- slip targets -------------------------------------------------------
+# --- slip directions ----------------------------------------------------
 
 
-def test_slip_target_definition():
-    t_loc = np.array([[-20.0 * MPA, 0.0, 0.0]])
-    dg = np.array([[1e-3, 0.0]])
-    tgt = slip_targets(t_loc, dg, np.zeros(1), np.array([[1.0, 0.0]]), CONST_LAW, TOLS)
-    cap = tau_max(CONST_LAW, -20.0 * MPA, 1e-3)
-    np.testing.assert_allclose(tgt, [[cap, 0.0]], rtol=1e-12)
-
-
-def test_slip_target_rotation_equivariance():
-    t_loc = np.array([[-20.0 * MPA, 0.0, 0.0]])
-    ang = 0.7
-    dg = np.array([[math.cos(ang), math.sin(ang)]]) * 2e-3
-    tgt = slip_targets(t_loc, dg, np.zeros(1), np.array([[1.0, 0.0]]), CONST_LAW, TOLS)
-    mag = np.hypot(tgt[0, 0], tgt[0, 1])
-    assert mag == pytest.approx(tau_max(CONST_LAW, -20.0 * MPA, 2e-3), rel=1e-12)
-    assert math.atan2(tgt[0, 1], tgt[0, 0]) == pytest.approx(ang, abs=1e-12)
-
-
-def test_slip_target_scale_invariant_direction():
-    t_loc = np.array([[-20.0 * MPA, 0.0, 0.0]])
-    a = slip_targets(t_loc, np.array([[1e-3, 2e-3]]), np.zeros(1), np.array([[1.0, 0.0]]), CONST_LAW, TOLS)
-    b = slip_targets(t_loc, np.array([[1e-2, 2e-2]]), np.zeros(1), np.array([[1.0, 0.0]]), CONST_LAW, TOLS)
-    # constant law: same direction, same magnitude regardless of |dg|
-    np.testing.assert_allclose(a / np.linalg.norm(a), b / np.linalg.norm(b), rtol=1e-12)
-
-
-def test_slip_target_zero_increment_uses_reference():
-    t_loc = np.array([[-20.0 * MPA, 3.0 * MPA, 0.0]])
-    d_ref = np.array([[0.0, 1.0]])
-    tgt = slip_targets(t_loc, np.zeros((1, 2)), np.zeros(1), d_ref, CONST_LAW, TOLS)
-    cap = tau_max(CONST_LAW, -20.0 * MPA, 0.0)
-    np.testing.assert_allclose(tgt, [[0.0, cap]], rtol=1e-12)
-
-
-def test_slip_target_weakening_driver():
-    t_loc = np.array([[-20.0 * MPA, 0.0, 0.0]])
-    dg = np.array([[5e-4, 0.0]])
-    acc = np.array([1.5e-3])
-    tgt = slip_targets(t_loc, dg, acc, np.array([[1.0, 0.0]]), WEAK_LAW, TOLS)
-    # capacity evaluated at the accumulated slip including this increment
-    assert tgt[0, 0] == pytest.approx(tau_max(WEAK_LAW, -20.0 * MPA, 2e-3), rel=1e-12)
+def test_regularized_directions_zero_increment_uses_reference():
+    dg = np.array([[0.0, 0.0], [3e-3, -4e-3]])
+    d_ref = np.array([[0.0, 1.0], [1.0, 0.0]])
+    d, ds, small = regularized_directions(dg, d_ref)
+    # below DIRECTION_EPS the reference direction stands in for the increment
+    np.testing.assert_array_equal(d[0], [0.0, 1.0])
+    np.testing.assert_allclose(d[1], [0.6, -0.8], rtol=1e-12)
+    np.testing.assert_allclose(ds, [0.0, 5e-3], rtol=1e-12)
+    assert small.tolist() == [True, False]
 
 
 # --- KKT report ---------------------------------------------------------

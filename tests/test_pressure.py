@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from faultmech.mesh import AxisSegment, DomainSpec, FaultSpec, build_structured_domain
 from faultmech.pressure import (
@@ -12,9 +11,7 @@ from faultmech.pressure import (
     TablePressure,
     UniformCompartmentPressure,
     compartment_schedule,
-    fault_pressure,
     interface_pressure,
-    phase_labels,
     schedule_times,
 )
 
@@ -26,17 +23,10 @@ def test_schedule_lengths_one_cycle():
     assert times.shape == (29,)
     assert times[0] == 0.0
     assert np.all(np.diff(times) > 0.0)
-    labels = phase_labels(1)
-    assert len(labels) == 28
-    assert labels[:10] == ("PP",) * 10
-    assert labels[10:22] == ("CGI",) * 12
-    assert labels[22:25] == ("UGS_prod",) * 3
-    assert labels[25:28] == ("UGS_inj",) * 3
 
 
 def test_schedule_lengths_two_cycles():
     assert schedule_times(2).shape == (35,)
-    assert len(phase_labels(2)) == 34
 
 
 def test_pp_values():
@@ -78,20 +68,6 @@ def test_schedule_out_of_range():
         compartment_schedule(-1)
 
 
-def test_fault_pressure_rules():
-    assert fault_pressure("sealing", -20.0 * MPA, -20.0 * MPA) == 0.0
-    assert fault_pressure("non_sealing", -20.0 * MPA, -20.0 * MPA) == pytest.approx(-20.0 * MPA)
-    assert fault_pressure("non_sealing", -20.0 * MPA, 0.0) == pytest.approx(-10.0 * MPA)
-    with pytest.raises(PressureError):
-        fault_pressure("porous", 0.0, 0.0)
-
-
-@given(st.floats(-1e8, 1e8, allow_nan=False))
-def test_fault_pressure_identity(a):
-    assert fault_pressure("non_sealing", a, a) == pytest.approx(a, rel=1e-15, abs=1e-9)
-    assert fault_pressure("sealing", a, -a) == 0.0
-
-
 def _faulted_bar():
     spec = DomainSpec(
         x_segments=[AxisSegment(0.0, 3.0, "uniform", 1.0)],
@@ -110,6 +86,21 @@ def _faulted_bar():
         ],
     )
     return build_structured_domain(spec)
+
+
+def test_fault_pressure_rules():
+    mesh = _faulted_bar()
+    both_depleted = np.array([-20.0 * MPA, -20.0 * MPA, 0.0])
+    one_depleted = np.array([-20.0 * MPA, 0.0, 0.0])
+    assert interface_pressure(mesh, both_depleted, {"F": "sealing"})[0] == 0.0
+    assert interface_pressure(mesh, both_depleted, {"F": "non_sealing"})[0] == pytest.approx(
+        -20.0 * MPA
+    )
+    assert interface_pressure(mesh, one_depleted, {"F": "non_sealing"})[0] == pytest.approx(
+        -10.0 * MPA
+    )
+    with pytest.raises(PressureError):
+        interface_pressure(mesh, both_depleted, {"F": "porous"})
 
 
 def test_uniform_model_fields():

@@ -1,6 +1,8 @@
 """Quasi-static stepping: Newton, active set, linear solve, marching."""
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from faultmech.constitutive import ElasticMaterial, FrictionLaw, tau_max
 from faultmech.contact import OPEN, SLIP, STICK, kkt_report
 from faultmech.mesh import AxisSegment, DomainSpec, FaultSpec, build_structured_domain
 from faultmech.pressure import PressureField
-from faultmech.solver import ContactSolver, SolverConfig, SolverError, load_checkpoint
+from faultmech.solver import ContactSolver, SolverConfig, SolverError, StepState
 
 MAT = ElasticMaterial("rock", 2400.0, 10.0e9, 0.25)
 STRONG = FrictionLaw("constant", 0.6, 0.6, 1.0, 2.0e6)
@@ -187,14 +189,32 @@ def test_checkpoint_restart_matches_straight_run(tmp_path):
     ck = tmp_path / "state.npz"
     s2 = ContactSolver(mesh, [MAT], WEAK, _uniform_t0(mesh))
     part = s2.march(pressure, checkpoint=str(ck), stop_after=2)
-    assert part.records[-1].step == 2
-    resumed_state = load_checkpoint(str(ck))
-    assert resumed_state.step == 2
+    assert part.final.step == 2
     s3 = ContactSolver(mesh, [MAT], WEAK, _uniform_t0(mesh))
-    rest = s3.march(pressure, start_state=resumed_state)
-    np.testing.assert_allclose(rest.records[-1].u, full.records[-1].u, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(rest.records[-1].t_loc, full.records[-1].t_loc, rtol=0, atol=1e-6)
-    np.testing.assert_allclose(rest.records[-1].slip_acc, full.records[-1].slip_acc, atol=1e-15)
+    loaded = s3.load_checkpoint(str(ck))
+    assert loaded.step == 2 and loaded.time == part.final.time
+    assert loaded.info == part.final.info
+    arrays = [f.name for f in fields(StepState) if f.name not in ("step", "time", "info")]
+    for name in arrays:
+        assert np.array_equal(getattr(loaded, name), getattr(part.final, name)), name
+    for start in (loaded, part.final):
+        rest = s3.march(pressure, start_state=start)
+        assert [r.step for r in rest.records] == [3, 4]
+        for a, b in zip(rest.records, full.records[3:]):
+            assert a.time == b.time
+            for name in arrays:
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def test_checkpoint_from_another_model_is_rejected(tmp_path):
+    mesh = _mesh_two_columns(nz=3)
+    left = mesh.cell_centroids()[:, 0] < 1.0
+    pressure = StepsPressure(mesh, [np.where(left, -2.0e6, 0.0)])
+    ck = tmp_path / "state.npz"
+    ContactSolver(mesh, [MAT], WEAK, _uniform_t0(mesh)).march(pressure, checkpoint=str(ck))
+    assert ContactSolver(mesh, [MAT], WEAK, _uniform_t0(mesh)).load_checkpoint(str(ck)).step == 1
+    with pytest.raises(SolverError, match="different model"):
+        ContactSolver(mesh, [MAT], STRONG, _uniform_t0(mesh)).load_checkpoint(str(ck))
 
 
 def test_failure_mentions_step_and_writes_checkpoint(tmp_path):
