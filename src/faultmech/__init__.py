@@ -5,6 +5,9 @@ hexahedra, to zero-thickness frictional interface elements carrying
 piecewise-constant traction multipliers.  Pressure changes in reservoir
 compartments load the medium one-way; an active-set Coulomb algorithm with
 optional slip weakening resolves stick, slip and opening on the faults.
+
+Submodules are imported lazily so that an entry point can pin BLAS thread
+counts before numpy loads.
 """
 
 __version__ = "0.1.0"

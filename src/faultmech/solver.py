@@ -629,7 +629,7 @@ class ContactSolver:
         full, info_b = self._advance(half, mid_cell, mid_fault,
                                      cell_dp, fault_dp, depth + 1)
         info = StepInfo(**{f.name: getattr(info_a, f.name) + getattr(info_b, f.name)
-                           for f in fields(StepInfo)})
+                           for f in fields(info_a)})
         merged = replace(
             full,
             step=state.step + 1,

@@ -177,6 +177,36 @@ def test_march_slip_monotone_under_growing_load():
     assert tot[-1] > 0.0
 
 
+def test_bisected_step_sums_substep_counters(monkeypatch):
+    import faultmech.solver as solver_mod
+
+    # StepInfo may be replaced by a plain factory (a profiler wrapping it),
+    # so the merge must not treat the module-level name as a class.
+    real_info = solver_mod.StepInfo
+    monkeypatch.setattr(solver_mod, "StepInfo", lambda *a, **k: real_info(*a, **k))
+    mesh = _mesh_two_columns(nz=3)
+    left = mesh.cell_centroids()[:, 0] < 1.0
+    pressure = StepsPressure(mesh, [np.where(left, -4.0e6, 0.0)])
+    solver = ContactSolver(mesh, [MAT], WEAK, _uniform_t0(mesh))
+    real_step = solver.solve_step
+    infos = []
+
+    def failing_first(state, *args, **kwargs):
+        if not infos:
+            infos.append(None)
+            raise SolverError("forced failure of the full increment")
+        out = real_step(state, *args, **kwargs)
+        infos.append(out[1])
+        return out
+
+    monkeypatch.setattr(solver, "solve_step", failing_first)
+    final = solver.march(pressure).final
+    halves = infos[1:]
+    assert final.step == 1 and len(halves) == 2
+    assert final.info.newton_iters == halves[0].newton_iters + halves[1].newton_iters
+    assert final.info.activeset_iters == sum(h.activeset_iters for h in halves)
+
+
 def test_checkpoint_restart_matches_straight_run(tmp_path):
     mesh = _mesh_two_columns(nz=3)
     left = mesh.cell_centroids()[:, 0] < 1.0
