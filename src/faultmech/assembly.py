@@ -1,14 +1,18 @@
-"""Global FEM operators and the coupled residual/Jacobian.
+"""Global FEM operators and the interface residual/Jacobian.
 
 Displacements are trilinear on hexahedra; interface tractions are
 element-wise constant in each element's local frame.  The displacement
 vector stores dofs as 3*node + component.  Interface unknowns stack as
 3*element + local component (normal, then the two tangents).
 
-The equilibrium residual is incremental with respect to an assumed
-self-equilibrated initial state: body forces never appear, pressure
-enters through its change only, and the interface term carries the
-change of total traction (t - t0 - dp_fault * n).
+Bulk equilibrium is incremental with respect to an assumed
+self-equilibrated initial state: K u = f_div - C t_eff, where body forces
+never appear, pressure enters through its change only (f_div), and the
+interface term carries the change of total traction
+t_eff = t - t0 - dp_fault * n.  The bulk is linear, so the solver meets
+this exactly with its factorization of K; `assemble_system` evaluates
+only the interface rows, as functions of the local jumps g = J u and the
+tractions.
 """
 from __future__ import annotations
 
@@ -146,8 +150,6 @@ class InterfaceOps:
 
     jump_csr: sparse.csr_matrix    # (3m, 3n): u -> area-averaged local jump
     coupling_csr: sparse.csr_matrix  # (3n, 3m): local traction -> residual force
-    cols: np.ndarray               # (m, 24) displacement dofs per element
-    jump: np.ndarray               # (m, 3, 24) dense local jump blocks
     areas: np.ndarray
     frames: np.ndarray
     l_ref: float
@@ -164,8 +166,7 @@ def interface_blocks(mesh) -> InterfaceOps:
     if m == 0:
         empty_j = sparse.csr_matrix((0, ndof))
         empty_c = sparse.csr_matrix((ndof, 0))
-        return InterfaceOps(empty_j, empty_c, np.zeros((0, 24), dtype=int),
-                            np.zeros((0, 3, 24)), np.zeros(0), np.zeros((0, 3, 3)), 1.0)
+        return InterfaceOps(empty_j, empty_c, np.zeros(0), np.zeros((0, 3, 3)), 1.0)
 
     dofs_top = (3 * iset.top_nodes[:, :, None] + np.arange(3)).reshape(m, 12)
     dofs_bot = (3 * iset.bottom_nodes[:, :, None] + np.arange(3)).reshape(m, 12)
@@ -186,8 +187,8 @@ def interface_blocks(mesh) -> InterfaceOps:
         (cdata, (ccols, rows)), shape=(ndof, 3 * m)
     ).tocsr()
     l_ref = float(np.sqrt(np.median(iset.areas)))
-    return InterfaceOps(jump_csr, coupling_csr, cols, jump, iset.areas.copy(),
-                        iset.frames.copy(), l_ref)
+    return InterfaceOps(jump_csr, coupling_csr, iset.areas.copy(), iset.frames.copy(),
+                        l_ref)
 
 
 def stab_matrix(mesh, cell_young, beta=1.0):
@@ -224,21 +225,21 @@ def free_dof_mask(mesh):
 
 @dataclass
 class SystemBlocks:
-    """Residuals and the state-dependent Jacobian blocks of one iterate."""
+    """Interface residual and its Jacobian blocks at one iterate."""
 
-    r_u: np.ndarray
     r_t: np.ndarray
-    d_block: sparse.csr_matrix | None  # d(r_t)/du
+    d_block: sparse.csr_matrix | None  # d(r_t)/dg, block diagonal
     e_block: sparse.csr_matrix | None  # d(r_t)/dt
-    g_loc: np.ndarray                  # (m, 3) local jumps
+    g_loc: np.ndarray                  # (m, 3) local jumps it was evaluated at
     dg_slip: np.ndarray                # (m, 2) plastic increment (creep removed)
 
 
-def assemble_system(ops: InterfaceOps, k_csr, u, t_loc, *, status, g_t_prev,
-                    slip_acc_prev, d_ref, law, tols, stab, t_stab_ref, t0_loc,
-                    dp_fault, f_div, want_jacobian=True) -> SystemBlocks:
-    """Evaluate the coupled residual (and Jacobian blocks) at (u, t).
+def assemble_system(ops: InterfaceOps, g_loc, t_loc, *, status, g_t_prev,
+                    slip_acc_prev, d_ref, law, tols, stab, t_stab_ref,
+                    want_jacobian=True) -> SystemBlocks:
+    """Evaluate the interface residual (and Jacobian blocks) at (g, t).
 
+    g_loc are the local jumps J u, stacked like the tractions.
     Row recipes per interface element, all rows in meters:
       stick: absolute normal jump, then the tangential jump accumulated
              since the previously converged step;
@@ -252,13 +253,9 @@ def assemble_system(ops: InterfaceOps, k_csr, u, t_loc, *, status, g_t_prev,
     """
     m = ops.count
     t_loc = np.asarray(t_loc, dtype=float).reshape(m, 3)
-    g_loc = (ops.jump_csr @ u).reshape(m, 3)
+    g_loc = np.asarray(g_loc, dtype=float).reshape(m, 3)
     dg_t = g_loc[:, 1:] - g_t_prev
     k_scale = ops.l_ref / tols.p_ref
-
-    t_eff = t_loc - t0_loc
-    t_eff[:, 0] -= dp_fault
-    r_u = k_csr @ u + ops.coupling_csr @ t_eff.ravel() - f_div
 
     # the stabilized stick rows permit a small traction-driven creep; the
     # plastic slip increment removes that baseline, so it vanishes exactly
@@ -286,16 +283,16 @@ def assemble_system(ops: InterfaceOps, k_csr, u, t_loc, *, status, g_t_prev,
     r_t[row_mask] += stab_term[row_mask]
 
     if not want_jacobian:
-        return SystemBlocks(r_u, r_t.ravel(), None, None, g_loc, dg_slip)
+        return SystemBlocks(r_t.ravel(), None, None, g_loc, dg_slip)
 
-    ndof = u.size
-    d_block = sparse.diags(row_mask.ravel().astype(float)) @ ops.jump_csr
-
+    # D: identity on the jump rows, capacity sensitivity on the slip rows
+    d_rows = [np.flatnonzero(row_mask)]
+    d_cols = [d_rows[0]]
+    d_data = [np.ones(d_rows[0].size)]
     e_rows, e_cols, e_data = [], [], []
     sl = np.flatnonzero(slip)
     if sl.size:
         ns = sl.size
-        jg = ops.jump[sl][:, 1:, :]                       # (ns, 2, 24)
         dh = d_hat[sl]
         dr = d_ref[sl]
         tn = t_loc[sl, 0]
@@ -303,16 +300,12 @@ def assemble_system(ops: InterfaceOps, k_csr, u, t_loc, *, status, g_t_prev,
         dtau = np.where(tn < 0.0,
                         -tn * np.atleast_1d(friction_derivative(law, s_eval[sl])),
                         0.0)
-        dmag = np.einsum("nj,njk->nk", dh, jg)            # d|dg|/du
-        dts_du = dtau[:, None, None] * dr[:, :, None] * dmag[:, None, :]
-
-        rows_t = (3 * sl[:, None, None] + np.array([[1], [2]])[None])
-        rows_t = np.broadcast_to(rows_t, (ns, 2, 24)).ravel()
-        cols_t = np.broadcast_to(ops.cols[sl][:, None, :], (ns, 2, 24)).ravel()
-        d_slip = sparse.coo_matrix(
-            ((-k_scale * dts_du).ravel(), (rows_t, cols_t)), shape=(3 * m, ndof)
-        ).tocsr()
-        d_block = d_block + d_slip
+        # d|dg_slip|/dg_t is the unit direction d_hat
+        for c in range(2):
+            for k in range(2):
+                d_rows.append(3 * sl + 1 + c)
+                d_cols.append(3 * sl + 1 + k)
+                d_data.append(-k_scale * dtau * dr[:, c] * dh[:, k])
 
         # E: identity on the shear columns, capacity sensitivity on t_n
         mu_eff = np.where(tn < 0.0, mu, 0.0)
@@ -341,6 +334,10 @@ def assemble_system(ops: InterfaceOps, k_csr, u, t_loc, *, status, g_t_prev,
             e_cols.append(3 * op + c)
             e_data.append(np.full(op.size, k_scale))
 
+    d_block = sparse.coo_matrix(
+        (np.concatenate(d_data), (np.concatenate(d_rows), np.concatenate(d_cols))),
+        shape=(3 * m, 3 * m),
+    ).tocsr()
     if e_rows:
         e_block = sparse.coo_matrix(
             (np.concatenate(e_data),
@@ -352,4 +349,4 @@ def assemble_system(ops: InterfaceOps, k_csr, u, t_loc, *, status, g_t_prev,
     e_stab = sparse.kron(stab, sparse.eye(3), format="csr")
     e_block = e_block + sparse.diags(row_mask.ravel().astype(float)) @ e_stab
 
-    return SystemBlocks(r_u, r_t.ravel(), d_block, e_block, g_loc, dg_slip)
+    return SystemBlocks(r_t.ravel(), d_block, e_block, g_loc, dg_slip)

@@ -1,8 +1,7 @@
-"""Pore-pressure loading: compartment schedules, tabulated fields, and the
-fault-pressure rule for sealing / non-sealing surfaces."""
+"""Pore-pressure loading: compartment schedules and the fault-pressure rule
+for sealing / non-sealing surfaces."""
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,7 +10,6 @@ __all__ = [
     "YEAR",
     "PressureError",
     "PressureField",
-    "TablePressure",
     "UniformCompartmentPressure",
     "compartment_schedule",
     "interface_pressure",
@@ -25,7 +23,7 @@ _MODES = ("sealing", "non_sealing")
 
 
 class PressureError(ValueError):
-    """Raised for invalid schedules, modes, or table input."""
+    """Raised for invalid schedules or modes."""
 
 
 def schedule_times(n_cycles: int = 1) -> np.ndarray:
@@ -115,53 +113,3 @@ class UniformCompartmentPressure:
         fault_dp = interface_pressure(self.mesh, cell_dp, self.hydraulic_modes)
         return PressureField(cell_dp=cell_dp, fault_dp=fault_dp)
 
-
-class TablePressure:
-    """Per-cell Δp time series read from a text table.
-
-    Expected header ``cell_id,time_s,dp_pa``; times strictly increasing per
-    cell; linear interpolation between listed times; unlisted cells stay 0."""
-
-    def __init__(self, mesh, path, times, hydraulic_modes=None):
-        self.mesh = mesh
-        self.times = np.asarray(times, dtype=float)
-        self.hydraulic_modes = dict(hydraulic_modes or {})
-        series = {}
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ["cell_id", "time_s", "dp_pa"]:
-                raise PressureError(f"{path}: bad header {header!r}, expected cell_id,time_s,dp_pa")
-            for lineno, row in enumerate(reader, start=2):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                try:
-                    cell = int(row[0])
-                    t = float(row[1])
-                    dp = float(row[2])
-                except (ValueError, IndexError) as exc:
-                    raise PressureError(f"{path}: malformed row {lineno}: {row!r}") from exc
-                if not 0 <= cell < mesh.n_cells:
-                    raise PressureError(f"{path}: row {lineno}: unknown cell id {cell}")
-                series.setdefault(cell, []).append((t, dp))
-        self._series = {}
-        for cell, samples in series.items():
-            ts = np.array([s[0] for s in samples])
-            ps = np.array([s[1] for s in samples])
-            if np.any(np.diff(ts) <= 0.0):
-                raise PressureError(f"{path}: cell {cell}: times must be strictly increasing")
-            self._series[cell] = (ts, ps)
-
-    @property
-    def n_steps(self):
-        return self.times.size - 1
-
-    def field_at(self, step: int) -> PressureField:
-        if not 0 <= step < self.times.size:
-            raise PressureError(f"step {step} outside schedule 0..{self.times.size - 1}")
-        t = self.times[step]
-        cell_dp = np.zeros(self.mesh.n_cells)
-        for cell, (ts, ps) in self._series.items():
-            cell_dp[cell] = float(np.interp(t, ts, ps))
-        fault_dp = interface_pressure(self.mesh, cell_dp, self.hydraulic_modes)
-        return PressureField(cell_dp=cell_dp, fault_dp=fault_dp)

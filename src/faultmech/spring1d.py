@@ -13,7 +13,6 @@ equilibrium further along the branch.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +26,6 @@ __all__ = [
     "SpringSliderResult",
     "analytic_min_stiffness",
     "simulate",
-    "write_csv",
 ]
 
 
@@ -167,13 +165,3 @@ def simulate(cfg: SpringSliderConfig) -> SpringSliderResult:
     tangent[1:] = np.diff(force) / np.diff(drive)
     return SpringSliderResult(config=cfg, drive=drive, force=force, slider_slip=slip, tangent=tangent)
 
-
-def write_csv(result: SpringSliderResult, path) -> None:
-    """Write drive, force, slip, tangent stiffness and elastic energy."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["d_m", "F_n", "ur_m", "kbar_npm", "U_j"])
-        for row in zip(
-            result.drive, result.force, result.slider_slip, result.tangent, result.elastic_energy
-        ):
-            writer.writerow([f"{v:.12g}" for v in row])

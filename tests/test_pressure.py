@@ -1,4 +1,4 @@
-"""Schedule values, fault-pressure rule, and table ingestion."""
+"""Schedule values and the fault-pressure rule."""
 from __future__ import annotations
 
 import numpy as np
@@ -8,7 +8,6 @@ from faultmech.mesh import AxisSegment, DomainSpec, FaultSpec, build_structured_
 from faultmech.pressure import (
     YEAR,
     PressureError,
-    TablePressure,
     UniformCompartmentPressure,
     compartment_schedule,
     interface_pressure,
@@ -139,57 +138,3 @@ def test_interface_pressure_vectorized():
     assert dp[0] == pytest.approx(-3.0)
     assert interface_pressure(mesh, cell_dp, {})[0] == 0.0
 
-
-def test_table_roundtrip(tmp_path):
-    mesh = _faulted_bar()
-    times = schedule_times(1)
-    ref = UniformCompartmentPressure(mesh, compartments=(np.array([0]), np.array([1])))
-    path = tmp_path / "dp.csv"
-    rows = ["cell_id,time_s,dp_pa"]
-    for cell in (0, 1):
-        for s, t in enumerate(times):
-            rows.append(f"{cell},{float(t)!r},{float(compartment_schedule(s))!r}")
-    path.write_text("\n".join(rows) + "\n")
-    table = TablePressure(mesh, path, times)
-    for step in (0, 5, 10, 16, 22, 25, 28):
-        np.testing.assert_allclose(
-            table.field_at(step).cell_dp, ref.field_at(step).cell_dp, rtol=1e-12, atol=1e-6
-        )
-
-
-def test_table_missing_cells_default_zero(tmp_path):
-    mesh = _faulted_bar()
-    path = tmp_path / "dp.csv"
-    path.write_text("cell_id,time_s,dp_pa\n1,0.0,0.0\n1,100.0,-5.0e6\n")
-    table = TablePressure(mesh, path, np.array([0.0, 50.0, 100.0]))
-    f = table.field_at(1)
-    assert f.cell_dp[0] == 0.0
-    assert f.cell_dp[1] == pytest.approx(-2.5e6)
-
-
-def test_table_malformed_row(tmp_path):
-    path = tmp_path / "dp.csv"
-    path.write_text("cell_id,time_s,dp_pa\n0,0.0,0.0\nnot,a,row\n")
-    with pytest.raises(PressureError, match="row 3"):
-        TablePressure(_faulted_bar(), path, np.array([0.0]))
-
-
-def test_table_unknown_cell(tmp_path):
-    path = tmp_path / "dp.csv"
-    path.write_text("cell_id,time_s,dp_pa\n99,0.0,0.0\n")
-    with pytest.raises(PressureError, match="cell"):
-        TablePressure(_faulted_bar(), path, np.array([0.0]))
-
-
-def test_table_non_monotone_times(tmp_path):
-    path = tmp_path / "dp.csv"
-    path.write_text("cell_id,time_s,dp_pa\n0,100.0,0.0\n0,50.0,-1.0\n")
-    with pytest.raises(PressureError, match="increasing"):
-        TablePressure(_faulted_bar(), path, np.array([0.0]))
-
-
-def test_table_bad_header(tmp_path):
-    path = tmp_path / "dp.csv"
-    path.write_text("cell,time,dp\n0,0.0,0.0\n")
-    with pytest.raises(PressureError, match="header"):
-        TablePressure(_faulted_bar(), path, np.array([0.0]))

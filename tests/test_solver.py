@@ -6,6 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from faultmech.assembly import divergence_forces
 from faultmech.constitutive import ElasticMaterial, FrictionLaw, tau_max
 from faultmech.contact import OPEN, SLIP, STICK, kkt_report
 from faultmech.mesh import AxisSegment, DomainSpec, FaultSpec, build_structured_domain
@@ -132,6 +133,47 @@ def test_kkt_clean_after_slip():
         s1.status, s1.t_loc, s1.g_n_book, s1.dg_t, s1.slip_acc_start, WEAK, solver.tols
     )
     assert rep.ok(1e-2, 1e-10, 1e-6, 1e-6, 1e-8), rep
+
+
+def test_recorded_displacement_is_in_force_balance():
+    mesh = _mesh_two_columns(nz=4)
+    left = mesh.cell_centroids()[:, 0] < 1.0
+    cell_dp = np.where(left, -5.0e6, 0.0)
+    solver = ContactSolver(mesh, [MAT], WEAK, _uniform_t0(mesh))
+    s1 = solver.march(StepsPressure(mesh, [cell_dp])).final
+    assert np.any(s1.status == SLIP)
+    free = solver.free_idx
+    k_ff = solver.k_csr[free][:, free]
+    f_f = divergence_forces(mesh, [MAT], cell_dp)[free]
+    t_eff = s1.t_loc - solver.t0  # sealing fault: no fault pressure
+    ku = k_ff @ s1.u[free]
+    res = ku + (solver.ops.coupling_csr @ t_eff.ravel())[free] - f_f
+    assert np.linalg.norm(res) <= 1e-10 * max(np.linalg.norm(ku), np.linalg.norm(f_f))
+    np.testing.assert_array_equal(np.delete(s1.u, free), 0.0)
+
+
+def _buried_fault_mesh():
+    # the fault's perimeter nodes stay unsplit, so W has a kernel
+    seg = [AxisSegment(0.0, 1.0, "uniform", 0.25), AxisSegment(1.0, 2.0, "uniform", 0.25)]
+    spec = DomainSpec(
+        x_segments=seg,
+        y_segments=[AxisSegment(0.0, 2.0, "uniform", 0.25)],
+        z_segments=[AxisSegment(-2.0, 0.0, "uniform", 0.25)],
+        faults=[FaultSpec("F", "x", 1.0, 0.5, 1.5, -1.5, -0.5)],
+    )
+    return build_structured_domain(spec)
+
+
+@pytest.mark.parametrize("build", [_mesh_two_columns, _buried_fault_mesh])
+def test_interface_compliance_is_area_symmetric_and_psd(build):
+    mesh = build()
+    solver = ContactSolver(mesh, [MAT], WEAK, _uniform_t0(mesh))
+    aw = np.repeat(solver.ops.areas, 3)[:, None] * solver.w
+    scale = np.abs(aw).max()
+    assert scale > 0.0
+    assert np.abs(aw - aw.T).max() <= 1e-12 * scale
+    eig = np.linalg.eigvalsh(0.5 * (aw + aw.T))
+    assert eig.min() >= -1e-12 * eig.max()
 
 
 def test_newton_quadratic_tail():
@@ -261,7 +303,6 @@ def test_failure_mentions_step_and_writes_checkpoint(tmp_path):
 
 def test_solver_config_defaults():
     cfg = SolverConfig()
-    assert cfg.newton_tol == 1e-6
     assert cfg.newton_max == 25
     assert cfg.activeset_max == 20
     assert cfg.linear_tol == 1e-10

@@ -13,7 +13,6 @@ from faultmech.spring1d import (
     SpringSliderError,
     analytic_min_stiffness,
     simulate,
-    write_csv,
 )
 
 MU_S = math.tan(math.radians(30.0))
@@ -133,18 +132,6 @@ def test_elastic_energy_definition():
     res = simulate(_config("linear"))
     expected = 0.5 * K_REF * (res.drive - res.slider_slip) ** 2
     assert np.allclose(res.elastic_energy, expected, rtol=1e-12)
-
-
-def test_csv_output(tmp_path):
-    res = simulate(_config("exponential"))
-    path = tmp_path / "spring.csv"
-    write_csv(res, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "d_m,F_n,ur_m,kbar_npm,U_j"
-    assert len(lines) == res.drive.size + 1
-    row = lines[1].split(",")
-    assert float(row[0]) == res.drive[0]
-    assert float(row[1]) == res.force[0]
 
 
 def test_config_validation():
