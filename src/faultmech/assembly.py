@@ -11,8 +11,12 @@ never appear, pressure enters through its change only (f_div), and the
 interface term carries the change of total traction
 t_eff = t - t0 - dp_fault * n.  The bulk is linear, so the solver meets
 this exactly with its factorization of K; `assemble_system` evaluates
-only the interface rows, as functions of the local jumps g = J u and the
-tractions.
+only the interface rows.  The constraint rows read g + L dt = 0, with L
+the traction stabilization (`stab_matrix`) and dt the traction change
+over the step, so the rows take the stabilized jumps g_stab = J u + L dt
+and each depends on its own element alone.  With the jumps affine in the
+tractions, g_stab = g0 - (W - L) dt for the interface compliance
+W = J K^-1 C, and the Newton matrix on the tractions is E - D (W - L).
 """
 from __future__ import annotations
 
@@ -192,12 +196,14 @@ def interface_blocks(mesh) -> InterfaceOps:
 
 
 def stab_matrix(mesh, cell_young, beta=1.0):
-    """Edge-based jump penalty on neighbouring interface tractions.
+    """Edge-based jump penalty L on neighbouring interface tractions.
 
-    SPSD graph Laplacian with weight beta * edge_length / E_loc per shared
-    edge, E_loc the harmonic mean of the four hexes touching the edge.
-    Assembled in the area-integrated row convention; a consumer pairing it
-    with facet-averaged jump rows must scale each row by 1/facet_area.
+    Graph Laplacian with weight beta * edge_length / E_loc per shared edge,
+    E_loc the harmonic mean of the four hexes touching the edge.  Each row
+    is divided by its facet area, matching the facet-averaged jump rows it
+    is added to, so diag(areas) @ L is the symmetric positive semidefinite
+    area-integrated form (on field-scale facets the unscaled penalty would
+    let stick rows creep by cm).
     """
     iset = mesh.interfaces
     m = iset.count
@@ -211,7 +217,8 @@ def stab_matrix(mesh, cell_young, beta=1.0):
     rows = np.concatenate([i, j, i, j])
     cols = np.concatenate([i, j, j, i])
     data = np.concatenate([w, w, -w, -w])
-    return sparse.coo_matrix((data, (rows, cols)), shape=(m, m)).tocsr()
+    lap = sparse.coo_matrix((data, (rows, cols)), shape=(m, m)).tocsr()
+    return (sparse.diags(1.0 / iset.areas) @ lap).tocsr()
 
 
 def free_dof_mask(mesh):
@@ -225,43 +232,42 @@ def free_dof_mask(mesh):
 
 @dataclass
 class SystemBlocks:
-    """Interface residual and its Jacobian blocks at one iterate."""
+    """Interface residual and its per-element Jacobian blocks at one iterate."""
 
     r_t: np.ndarray
-    d_block: sparse.csr_matrix | None  # d(r_t)/dg, block diagonal
-    e_block: sparse.csr_matrix | None  # d(r_t)/dt
-    g_loc: np.ndarray                  # (m, 3) local jumps it was evaluated at
-    dg_slip: np.ndarray                # (m, 2) plastic increment (creep removed)
+    d_block: np.ndarray | None  # (m, 3, 3): d(r_t)/d(g_stab), element by element
+    e_block: np.ndarray | None  # (m, 3, 3): d(r_t)/dt at fixed g_stab
+    dg_slip: np.ndarray         # (m, 2) plastic increment (creep removed)
 
 
-def assemble_system(ops: InterfaceOps, g_loc, t_loc, *, status, g_t_prev,
-                    slip_acc_prev, d_ref, law, tols, stab, t_stab_ref,
-                    want_jacobian=True) -> SystemBlocks:
-    """Evaluate the interface residual (and Jacobian blocks) at (g, t).
+def assemble_system(ops: InterfaceOps, g_stab, t_loc, *, status, g_t_prev,
+                    slip_acc_prev, d_ref, law, tols, want_jacobian=True) -> SystemBlocks:
+    """Evaluate the interface residual (and Jacobian blocks) at (g_stab, t).
 
-    g_loc are the local jumps J u, stacked like the tractions.
+    g_stab are the stabilized local jumps J u + L (t - t_start), stacked
+    like the tractions, with t_start the tractions at the start of the
+    step; g_t_prev is the tangential jump converged at the previous step.
     Row recipes per interface element, all rows in meters:
-      stick: absolute normal jump, then the tangential jump accumulated
-             since the previously converged step;
-      slip:  absolute normal jump, then (t_t - capacity*d_ref) scaled by
-             l_ref/p_ref, with d_ref held fixed over the Newton pass (the
-             caller realigns it with the converged slip increment between
-             passes; a moving target direction makes Newton cycle);
+      stick: stabilized normal jump, then the stabilized tangential jump
+             accumulated since the previously converged step;
+      slip:  stabilized normal jump, then (t_t - capacity*d_ref) scaled
+             by l_ref/p_ref, with d_ref held fixed over the Newton pass
+             (the caller realigns it with the converged slip increment
+             between passes; a moving target direction makes Newton cycle);
       open:  all three traction components scaled by l_ref/p_ref.
-    Constraint rows (stick rows, slip normal row) additionally carry the
-    stabilization term acting on the per-step traction change.
+    Every row depends on its own element's (g_stab, t) only, so both
+    Jacobian blocks are block diagonal; with g_stab = g0 - (W - L) dt the
+    Newton matrix is E - D (W - L).
     """
     m = ops.count
     t_loc = np.asarray(t_loc, dtype=float).reshape(m, 3)
-    g_loc = np.asarray(g_loc, dtype=float).reshape(m, 3)
-    dg_t = g_loc[:, 1:] - g_t_prev
+    g_stab = np.asarray(g_stab, dtype=float).reshape(m, 3)
     k_scale = ops.l_ref / tols.p_ref
 
     # the stabilized stick rows permit a small traction-driven creep; the
     # plastic slip increment removes that baseline, so it vanishes exactly
     # on converged stick rows and drives weakening only with genuine slip
-    stab_term = stab @ (t_loc - t_stab_ref)
-    dg_slip = dg_t + stab_term[:, 1:]
+    dg_slip = g_stab[:, 1:] - g_t_prev
     d_hat, ds, _ = regularized_directions(dg_slip, d_ref)
     s_eval = slip_acc_prev + ds
     cap = np.atleast_1d(tau_max(law, t_loc[:, 0], s_eval))
@@ -271,82 +277,32 @@ def assemble_system(ops: InterfaceOps, g_loc, t_loc, *, status, g_t_prev,
     opened = status == OPEN
 
     r_t = np.zeros((m, 3))
-    r_t[stick, 0] = g_loc[stick, 0]
-    r_t[stick, 1:] = dg_t[stick]
-    r_t[slip, 0] = g_loc[slip, 0]
+    r_t[stick, 0] = g_stab[stick, 0]
+    r_t[stick, 1:] = dg_slip[stick]
+    r_t[slip, 0] = g_stab[slip, 0]
     r_t[slip, 1:] = (t_loc[slip, 1:] - cap[slip, None] * d_ref[slip]) * k_scale
     r_t[opened] = t_loc[opened] * k_scale
 
-    row_mask = np.zeros((m, 3), dtype=bool)
-    row_mask[stick] = True
-    row_mask[slip, 0] = True
-    r_t[row_mask] += stab_term[row_mask]
-
     if not want_jacobian:
-        return SystemBlocks(r_t.ravel(), None, None, g_loc, dg_slip)
+        return SystemBlocks(r_t.ravel(), None, None, dg_slip)
 
-    # D: identity on the jump rows, capacity sensitivity on the slip rows
-    d_rows = [np.flatnonzero(row_mask)]
-    d_cols = [d_rows[0]]
-    d_data = [np.ones(d_rows[0].size)]
-    e_rows, e_cols, e_data = [], [], []
-    sl = np.flatnonzero(slip)
-    if sl.size:
-        ns = sl.size
-        dh = d_hat[sl]
-        dr = d_ref[sl]
-        tn = t_loc[sl, 0]
-        mu = np.atleast_1d(friction_coefficient(law, s_eval[sl]))
-        dtau = np.where(tn < 0.0,
-                        -tn * np.atleast_1d(friction_derivative(law, s_eval[sl])),
-                        0.0)
-        # d|dg_slip|/dg_t is the unit direction d_hat
-        for c in range(2):
-            for k in range(2):
-                d_rows.append(3 * sl + 1 + c)
-                d_cols.append(3 * sl + 1 + k)
-                d_data.append(-k_scale * dtau * dr[:, c] * dh[:, k])
+    # D: identity on the jump rows, capacity sensitivity on the slip rows;
+    # E: the traction rows of slip and open elements
+    d_block = np.zeros((m, 3, 3))
+    e_block = np.zeros((m, 3, 3))
+    d_block[stick] = np.eye(3)
+    d_block[slip, 0, 0] = 1.0
+    e_block[opened] = k_scale * np.eye(3)
 
-        # E: identity on the shear columns, capacity sensitivity on t_n
-        mu_eff = np.where(tn < 0.0, mu, 0.0)
-        e_rows.extend([3 * sl + 1, 3 * sl + 2, 3 * sl + 1, 3 * sl + 2])
-        e_cols.extend([3 * sl + 1, 3 * sl + 2, 3 * sl, 3 * sl])
-        e_data.extend([
-            np.full(ns, k_scale), np.full(ns, k_scale),
-            k_scale * mu_eff * dr[:, 0], k_scale * mu_eff * dr[:, 1],
-        ])
-        # the weakening driver's stab part depends on neighbor tractions
-        if np.any(dtau != 0.0):
-            sub = sparse.coo_matrix(stab.tocsr()[sl])
-            if sub.nnz:
-                le, lj, lv = sub.row, sub.col, sub.data
-                for c in range(2):
-                    for k in range(2):
-                        e_rows.append(3 * sl[le] + 1 + c)
-                        e_cols.append(3 * lj + 1 + k)
-                        e_data.append(-k_scale * dtau[le] * dr[le, c]
-                                      * dh[le, k] * lv)
+    tn = t_loc[slip, 0]
+    dr = d_ref[slip]
+    dtau = np.where(tn < 0.0, -tn * friction_derivative(law, s_eval[slip]), 0.0)
+    mu_eff = np.where(tn < 0.0, friction_coefficient(law, s_eval[slip]), 0.0)
+    # d|dg_slip|/dg_t is the unit direction d_hat
+    d_block[slip, 1:, 1:] = (-k_scale * dtau[:, None, None] * dr[:, :, None]
+                             * d_hat[slip, None, :])
+    e_block[slip, 1, 1] = k_scale
+    e_block[slip, 2, 2] = k_scale
+    e_block[slip, 1:, 0] = k_scale * mu_eff[:, None] * dr
 
-    op = np.flatnonzero(opened)
-    if op.size:
-        for c in range(3):
-            e_rows.append(3 * op + c)
-            e_cols.append(3 * op + c)
-            e_data.append(np.full(op.size, k_scale))
-
-    d_block = sparse.coo_matrix(
-        (np.concatenate(d_data), (np.concatenate(d_rows), np.concatenate(d_cols))),
-        shape=(3 * m, 3 * m),
-    ).tocsr()
-    if e_rows:
-        e_block = sparse.coo_matrix(
-            (np.concatenate(e_data),
-             (np.concatenate(e_rows), np.concatenate(e_cols))),
-            shape=(3 * m, 3 * m),
-        ).tocsr()
-    else:
-        e_block = sparse.csr_matrix((3 * m, 3 * m))
-    e_stab = sparse.kron(stab, sparse.eye(3), format="csr")
-    e_block = e_block + sparse.diags(row_mask.ravel().astype(float)) @ e_stab
-
-    return SystemBlocks(r_t.ravel(), d_block, e_block, g_loc, dg_slip)
+    return SystemBlocks(r_t.ravel(), d_block, e_block, dg_slip)

@@ -291,12 +291,12 @@ def _check_jacobians(points, hexes):
     return worst
 
 
-def _shear_coefficients(xs, faults, x_breaks_extra=()):
+def _shear_coefficients(xs, faults):
     """Per-gridline column shear dx/dz realizing each x fault's dip.
 
     The shear is piecewise linear in x through control points at the domain
-    ends (zero), at each dipping fault trace (tan of its dip), and at any
-    extra pins (zero), so surfaces between pins interpolate smoothly.
+    ends (zero) and at each dipping fault trace (tan of its dip), so
+    surfaces between them interpolate smoothly.
     """
     ctrl_x = [xs[0], xs[-1]]
     ctrl_a = [0.0, 0.0]
@@ -306,9 +306,6 @@ def _shear_coefficients(xs, faults, x_breaks_extra=()):
         a = np.tan(np.radians(f.dip_deg))
         ctrl_x.append(f.position)
         ctrl_a.append(a)
-    for xb in x_breaks_extra:
-        ctrl_x.append(xb)
-        ctrl_a.append(0.0)
     order = np.argsort(ctrl_x)
     cx = np.asarray(ctrl_x)[order]
     ca = np.asarray(ctrl_a)[order]

@@ -3,17 +3,22 @@
 The bulk is linear elastic, so for given interface tractions the
 cumulative displacement is exact: u = K^-1 (f_div - C t_eff).  The local
 jumps are then affine in the tractions, g = g_load - W t_eff, with the
-dense interface compliance W = J K^-1 C (3m x 3m), built once at set-up
-from one factorization of the reduced stiffness.
+dense interface compliance W = J K^-1 C.  The constraint rows add the
+traction stabilization L to the jumps, so Newton works on the one dense
+operator W - L (x) I3 (3m x 3m), built once at set-up from one
+factorization of the reduced stiffness: within a step that starts at
+tractions t_start, the stabilized jumps are
+g_stab = g0 - (W - L) (t - t_start), with g0 the jumps at t_start.
 
 Each loading step solves the interface problem alone: an exact Newton
 loop on the tractions with the stick/slip/open partition held fixed, and
 partition sweeps outside it until the partition settles.  A step costs
-two sparse back-substitutions, one for g_load and one to record u at the
+two sparse back-substitutions, one for g0 and one to record u at the
 converged tractions; every Newton iterate, line-search trial, sweep and
 snap-search partition works on the dense interface system only.  The
-Newton direction solves (E - D W) dt = -r_t; a residual check guards it,
-and a singular or inaccurate solve raises SolverError.
+Newton direction solves (E - D (W - L)) dt = -r_t, with D and E
+per-element 3x3 blocks; a residual check guards it, and a singular or
+inaccurate solve raises SolverError.
 """
 from __future__ import annotations
 
@@ -99,7 +104,6 @@ class StepState:
     t_loc: np.ndarray
     status: np.ndarray
     slip_acc: np.ndarray
-    g_t_prev: np.ndarray     # tangential jump at the end of the step
     d_ref: np.ndarray        # reference slip directions
     g_loc: np.ndarray        # kinematic local jumps
     dg_t: np.ndarray         # tangential slip increment of this step
@@ -144,6 +148,11 @@ def _fingerprint(mesh, materials, law, t0, config, tols):
     return digest.hexdigest()
 
 
+def _blockmul(blocks, x):
+    """Block-diagonal (m, 3, 3) blocks times a stacked (3m,) vector."""
+    return np.einsum("eab,eb->ea", blocks, x.reshape(-1, 3)).ravel()
+
+
 class ContactSolver:
     """Owns the discrete operators and marches the loading schedule."""
 
@@ -162,16 +171,7 @@ class ContactSolver:
         self.ops = interface_blocks(mesh)
         if self.ops.count != self.t0.shape[0]:
             raise ValueError("initial traction rows do not match interface count")
-        lap = stab_matrix(mesh, cell_young, beta=self.config.stab_beta)
-        if self.ops.count:
-            # the edge penalty lives in the area-integrated row convention;
-            # the constraint rows here are facet-averaged jumps in metres,
-            # so scale each row by its facet area before the two meet (on
-            # unit facets both conventions coincide, on field-scale facets
-            # the unscaled operator would let stick rows creep by cm)
-            self.stab = (sparse.diags(1.0 / self.ops.areas) @ lap).tocsr()
-        else:
-            self.stab = lap
+        self.stab = stab_matrix(mesh, cell_young, beta=self.config.stab_beta)
 
         free = free_dof_mask(mesh)
         self.free_idx = np.flatnonzero(free)
@@ -179,10 +179,12 @@ class ContactSolver:
         self.c_ff = self.ops.coupling_csr[self.free_idx].tocsc()
         self.j_ff = self.ops.jump_csr[:, self.free_idx].tocsr()
         n_t = 3 * self.ops.count
-        self.w = np.empty((n_t, n_t))
+        l3 = sparse.kron(self.stab, sparse.eye(3), format="csc")
+        self.w_stab = np.empty((n_t, n_t))
         for c0 in range(0, n_t, SCHUR_CHUNK):
             c1 = min(c0 + SCHUR_CHUNK, n_t)
-            self.w[:, c0:c1] = self.j_ff @ self.lu.solve(self.c_ff[:, c0:c1].toarray())
+            self.w_stab[:, c0:c1] = (self.j_ff @ self.lu.solve(self.c_ff[:, c0:c1].toarray())
+                                     - l3[:, c0:c1].toarray())
 
     # ------------------------------------------------------------------
 
@@ -202,7 +204,6 @@ class ContactSolver:
             t_loc=self.t0.copy(),
             status=status,
             slip_acc=np.zeros(m),
-            g_t_prev=np.zeros((m, 2)),
             d_ref=d_ref,
             g_loc=np.zeros((m, 3)),
             dg_t=np.zeros((m, 2)),
@@ -219,8 +220,11 @@ class ContactSolver:
         return t_eff.ravel()
 
     def _linear_solve(self, sys):
-        """Newton direction on the tractions: (E - D W) dt = -r_t."""
-        a_mat = sys.e_block.toarray() - sys.d_block @ self.w
+        """Newton direction on the tractions: (E - D (W - L)) dt = -r_t."""
+        m = self.ops.count
+        a_mat = -(sys.d_block @ self.w_stab.reshape(m, 3, 3 * m)).reshape(3 * m, 3 * m)
+        diag = np.arange(m)
+        a_mat.reshape(m, 3, m, 3)[diag, :, diag] += sys.e_block
         try:
             dt = dla.solve(a_mat, -sys.r_t)
         except dla.LinAlgError as exc:
@@ -230,8 +234,8 @@ class ContactSolver:
         return dt
 
     def _solve_ok(self, sys, dt):
-        dd = sys.d_block @ (self.w @ dt)
-        et = sys.e_block @ dt
+        dd = _blockmul(sys.d_block, self.w_stab @ dt)
+        et = _blockmul(sys.e_block, dt)
         res = np.linalg.norm(et - dd + sys.r_t)
         scale = max(np.linalg.norm(dd), np.linalg.norm(et), np.linalg.norm(sys.r_t), 1e-300)
         # absolute floor: a solve residual two decades below the convergence
@@ -240,23 +244,20 @@ class ContactSolver:
 
     # ------------------------------------------------------------------
 
-    def _assemble(self, t, status, d_ref, slip_acc_start, g_t_prev, t_stab_ref,
-                  dp_fault, g_load, want_jacobian):
-        g = g_load - self.w @ self._t_eff(t, dp_fault)
+    def _assemble(self, t, status, d_ref, state, g0, want_jacobian):
+        """Interface rows at tractions t of the step that starts at state."""
+        g_stab = g0 - self.w_stab @ (t - state.t_loc).ravel()
         return assemble_system(
-            self.ops, g, t,
-            status=status, g_t_prev=g_t_prev, slip_acc_prev=slip_acc_start,
-            d_ref=d_ref, law=self.law, tols=self.tols, stab=self.stab,
-            t_stab_ref=t_stab_ref, want_jacobian=want_jacobian,
+            self.ops, g_stab, t,
+            status=status, g_t_prev=state.g_loc[:, 1:], slip_acc_prev=state.slip_acc,
+            d_ref=d_ref, law=self.law, tols=self.tols, want_jacobian=want_jacobian,
         )
 
-    def _newton(self, t, status, d_ref, slip_acc_start, g_t_prev, t_stab_ref,
-                dp_fault, g_load):
+    def _newton(self, t, status, d_ref, state, g0):
         cfg = self.config
         norms = []
         for it in range(cfg.newton_max + 1):
-            sys = self._assemble(t, status, d_ref, slip_acc_start, g_t_prev,
-                                 t_stab_ref, dp_fault, g_load, True)
+            sys = self._assemble(t, status, d_ref, state, g0, True)
             phi = float(np.linalg.norm(sys.r_t))
             norms.append(phi)
             rt_inf = float(np.max(np.abs(sys.r_t), initial=0.0))
@@ -271,8 +272,7 @@ class ContactSolver:
             best = None
             for _ in range(cfg.backtrack_max + 1):
                 t_try = t + alpha * dt
-                trial = self._assemble(t_try, status, d_ref, slip_acc_start,
-                                       g_t_prev, t_stab_ref, dp_fault, g_load, False)
+                trial = self._assemble(t_try, status, d_ref, state, g0, False)
                 phi_try = float(np.linalg.norm(trial.r_t))
                 if best is None or phi_try < best[0]:
                     best = (phi_try, t_try)
@@ -294,12 +294,13 @@ class ContactSolver:
         m = self.ops.count
         f_ff = divergence_forces(self.mesh, self.materials, cell_dp)[self.free_idx]
         dp_fault = np.zeros(m) if fault_dp is None else np.asarray(fault_dp, dtype=float)
-        g_load = self.j_ff @ self.lu.solve(f_ff)
+        # the jumps at the start tractions under this step's load,
+        # g_load - W t_eff(t_start)
+        g0 = self.j_ff @ self.lu.solve(f_ff - self.c_ff @ self._t_eff(state.t_loc, dp_fault))
 
         t = state.t_loc
         status = state.status
         d_ref = state.d_ref.copy()
-        t_stab_ref = state.t_loc
         frozen_slip = np.zeros(m, dtype=bool)
         flip_run = np.zeros(m, dtype=np.int64)
         contended = np.zeros(m, dtype=bool)
@@ -324,8 +325,7 @@ class ContactSolver:
                 # has already cut the load increment as far as it will go.
                 sel = None
                 if jump_ok and not jumped and contended.any():
-                    sel = self._jump_search(state, contended, t, t_stab_ref,
-                                            dp_fault, g_load)
+                    sel = self._jump_search(state, contended, t, g0)
                 if sel is None:
                     raise SolverError(stuck_reason)
                 status, d_ref = sel
@@ -338,12 +338,12 @@ class ContactSolver:
                 stuck_reason = None
                 seen = {(status.tobytes(), d_ref.tobytes(), frozen_slip.tobytes())}
                 continue
-            t, sys, norms, iters = self._newton(
-                t, status, d_ref, state.slip_acc, state.g_t_prev, t_stab_ref,
-                dp_fault, g_load,
-            )
+            t, sys, norms, iters = self._newton(t, status, d_ref, state, g0)
             info.newton_iters.append(iters)
             info.newton_residuals.append(norms)
+            # raw jumps J u = g_stab - L (t - t_start)
+            dt_step = t - state.t_loc
+            g = (g0 - self.w_stab @ dt_step.ravel()).reshape(m, 3) - self.stab @ dt_step
 
             ds = np.hypot(sys.dg_slip[:, 0], sys.dg_slip[:, 1])
             moved = ds > DIRECTION_EPS
@@ -353,7 +353,7 @@ class ContactSolver:
             # an increment opposing the enforced traction direction is
             # negative dissipation; the reversal rule sends those to stick
             new_status = classify_all(
-                status, t, sys.g_loc[:, 0], sys.dg_slip, state.slip_acc, d_ref,
+                status, t, g[:, 0], sys.dg_slip, state.slip_acc, d_ref,
                 self.law, self.tols,
             )
             # an element that keeps toggling stick/slip sweep after sweep
@@ -424,7 +424,7 @@ class ContactSolver:
         upd = slipping & (ds > DIRECTION_EPS)
         d_ref_new[upd] = sys.dg_slip[upd] / ds[upd, None]
         r_rows = sys.r_t.reshape(m, 3)
-        g_n_book = np.where(status == OPEN, sys.g_loc[:, 0], r_rows[:, 0])
+        g_n_book = np.where(status == OPEN, g[:, 0], r_rows[:, 0])
         u = np.zeros(3 * self.mesh.n_nodes)
         u[self.free_idx] = self.lu.solve(f_ff - self.c_ff @ self._t_eff(t, dp_fault))
 
@@ -434,16 +434,15 @@ class ContactSolver:
             t_loc=t,
             status=status,
             slip_acc=slip_acc,
-            g_t_prev=sys.g_loc[:, 1:],
             d_ref=d_ref_new,
-            g_loc=sys.g_loc,
+            g_loc=g,
             dg_t=sys.dg_slip,
             g_n_book=g_n_book,
             slip_acc_start=state.slip_acc,
         )
         return new_state, info
 
-    def _jump_search(self, state, contended, t_now, t_stab_ref, dp_fault, g_load):
+    def _jump_search(self, state, contended, t_now, g0):
         """Enumerate partitions of the contended elements for a snap event.
 
         Every combination of stick / slip-forward / slip-backward over the
@@ -486,10 +485,7 @@ class ContactSolver:
                     status_c[e] = SLIP
                     d_c[e] = dirs[k] if choice == 1 else -dirs[k]
             try:
-                t_c, sys_c, _, _ = self._newton(
-                    state.t_loc, status_c, d_c, state.slip_acc, state.g_t_prev,
-                    t_stab_ref, dp_fault, g_load,
-                )
+                t_c, sys_c, _, _ = self._newton(state.t_loc, status_c, d_c, state, g0)
             except SolverError:
                 continue
             ds_c = np.hypot(sys_c.dg_slip[:, 0], sys_c.dg_slip[:, 1])

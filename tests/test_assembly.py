@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from faultmech.assembly import (
     assemble_system,
@@ -236,15 +237,17 @@ def test_stab_matrix_heterogeneous_harmonic_mean():
 
 
 def test_stab_matrix_spsd_zero_rowsum():
-    mesh = _two_block_mesh(ny=3, nz=2)
-    young = np.full(mesh.n_cells, MAT.young)
-    s = stab_matrix(mesh, young)
-    dense = s.toarray()
-    scale = np.abs(dense).max()
-    np.testing.assert_allclose(dense.sum(axis=1), 0.0, atol=1e-12 * scale)
-    np.testing.assert_allclose(dense, dense.T, atol=1e-12 * scale)
-    eig = np.linalg.eigvalsh(dense)
-    assert eig.min() > -1e-12 * scale
+    # rows are scaled by 1/facet area; the area-weighted form is SPSD
+    for h in (1.0, 0.5):
+        mesh = _two_block_mesh(ny=3, nz=2, h=h)
+        young = np.full(mesh.n_cells, MAT.young)
+        s = stab_matrix(mesh, young).toarray()
+        dense = mesh.interfaces.areas[:, None] * s
+        scale = np.abs(dense).max()
+        np.testing.assert_allclose(s.sum(axis=1), 0.0, atol=1e-12 * np.abs(s).max())
+        np.testing.assert_allclose(dense, dense.T, atol=1e-12 * scale)
+        eig = np.linalg.eigvalsh(dense)
+        assert eig.min() > -1e-12 * scale
 
 
 LAW = FrictionLaw("arctan", np.tan(np.radians(30.0)), np.tan(np.radians(10.0)), 0.002, 2.0e6)
@@ -282,24 +285,18 @@ def test_jacobian_matches_finite_differences():
     u, t, status, g_t_prev, slip_acc, d_ref, t0 = _state_for(
         mesh, [STICK, SLIP, OPEN, SLIP], seed=2
     )
-    g = ops.jump_csr @ u
-    t_stab_ref = t0.copy()
+    g = ops.jump_csr @ u + (stab @ (t - t0)).ravel()
 
     def residual(gg, tt, want_jacobian=False):
         return assemble_system(
             ops, gg, tt.reshape(m, 3),
             status=status, g_t_prev=g_t_prev, slip_acc_prev=slip_acc, d_ref=d_ref,
-            law=LAW, tols=TOLS, stab=stab, t_stab_ref=t_stab_ref,
-            want_jacobian=want_jacobian,
+            law=LAW, tols=TOLS, want_jacobian=want_jacobian,
         )
 
     sys = residual(g, t, want_jacobian=True)
-    from scipy.sparse import hstack
-
-    jac = hstack([sys.d_block, sys.e_block], format="csr").toarray()
-    # dr_t/dg is block diagonal: an element's rows see only its own jump
-    blocks = sys.d_block.toarray().reshape(m, 3, m, 3).transpose(0, 2, 1, 3)
-    assert not blocks[~np.eye(m, dtype=bool)].any()
+    assert sys.d_block.shape == sys.e_block.shape == (m, 3, 3)
+    jac = np.hstack([block_diag(*sys.d_block), block_diag(*sys.e_block)])
 
     rng = np.random.default_rng(7)
     worst = 0.0
@@ -364,11 +361,12 @@ def test_uniform_increment_equilibrates_interior():
     assert np.max(np.abs(r_nodes[interior])) <= 1e-9 * scale
     # stick rows see no jump; uniform traction increment is in the
     # stabilization kernel
+    g_stab = ops.jump_csr @ u + (stab @ (t - t0)).ravel()
     sys = assemble_system(
-        ops, ops.jump_csr @ u, t,
+        ops, g_stab, t,
         status=np.full(m, STICK), g_t_prev=np.zeros((m, 2)),
         slip_acc_prev=np.zeros(m), d_ref=np.tile([1.0, 0.0], (m, 1)),
-        law=LAW, tols=TOLS, stab=stab, t_stab_ref=t0, want_jacobian=False,
+        law=LAW, tols=TOLS, want_jacobian=False,
     )
     assert np.max(np.abs(sys.r_t)) <= 1e-9 * np.max(np.abs(t))
 
@@ -376,15 +374,13 @@ def test_uniform_increment_equilibrates_interior():
 def test_zero_state_zero_residual():
     mesh = _two_block_mesh(ny=2, nz=2)
     ops = interface_blocks(mesh)
-    _, young = stiffness_matrix(mesh, [MAT])
-    stab = stab_matrix(mesh, young)
     m = mesh.interfaces.count
     t0 = np.tile([-15.0e6, 2.0e6, -1.0e6], (m, 1))
     sys = assemble_system(
         ops, np.zeros(3 * m), t0.copy(),
         status=np.full(m, STICK), g_t_prev=np.zeros((m, 2)),
         slip_acc_prev=np.zeros(m), d_ref=np.tile([1.0, 0.0], (m, 1)),
-        law=LAW, tols=TOLS, stab=stab, t_stab_ref=t0, want_jacobian=False,
+        law=LAW, tols=TOLS, want_jacobian=False,
     )
     assert np.all(sys.r_t == 0.0)
 

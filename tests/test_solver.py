@@ -5,6 +5,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from faultmech.assembly import divergence_forces
 from faultmech.constitutive import ElasticMaterial, FrictionLaw, tau_max
@@ -168,7 +169,8 @@ def _buried_fault_mesh():
 def test_interface_compliance_is_area_symmetric_and_psd(build):
     mesh = build()
     solver = ContactSolver(mesh, [MAT], WEAK, _uniform_t0(mesh))
-    aw = np.repeat(solver.ops.areas, 3)[:, None] * solver.w
+    w = solver.w_stab + sparse.kron(solver.stab, np.eye(3)).toarray()
+    aw = np.repeat(solver.ops.areas, 3)[:, None] * w
     scale = np.abs(aw).max()
     assert scale > 0.0
     assert np.abs(aw - aw.T).max() <= 1e-12 * scale
@@ -185,6 +187,41 @@ def test_newton_quadratic_tail():
     assert len(norms) >= 2
     # superlinear contraction at the end of the sequence
     assert norms[-1] <= 1e-2 * norms[-2] or norms[-1] == 0.0
+
+
+def _sweep_and_jump_paths(mesh, law, cell_dp):
+    """One step from the initial state along the plain sweep path, and with
+    the snap-event jump search forced after a single sweep."""
+    out = []
+    for cfg, jump_ok in ((SolverConfig(), False), (SolverConfig(activeset_max=1), True)):
+        solver = ContactSolver(mesh, [MAT], law, _uniform_t0(mesh), config=cfg)
+        out.append(solver.solve_step(solver.initial_state(), cell_dp,
+                                     np.zeros(mesh.interfaces.count), jump_ok=jump_ok))
+    return out
+
+
+def test_jump_search_lands_on_the_sweep_answer():
+    mesh = _mesh_two_columns(nz=4)
+    left = mesh.cell_centroids()[:, 0] < 1.0
+    (swept, _), (jumped, info) = _sweep_and_jump_paths(mesh, WEAK, np.where(left, -4.0e6, 0.0))
+    assert info.jump_events == 1
+    assert np.any(swept.status == SLIP)
+    np.testing.assert_array_equal(jumped.status, swept.status)
+    np.testing.assert_allclose(jumped.t_loc, swept.t_loc, rtol=0.0,
+                               atol=1e-12 * np.abs(swept.t_loc).max())
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 1: the stabilized interface operator W - L is indefinite, so "
+    "the sweep path slips all three elements and the jump search slips one, "
+    "and both states are KKT-clean"))
+def test_sweep_and_jump_paths_agree_at_slip_onset():
+    mesh = _mesh_two_columns(nz=3)
+    law = FrictionLaw("constant", 0.3, 0.3, 1.0, 1.0e3)
+    left = mesh.cell_centroids()[:, 0] < 1.0
+    (swept, _), (jumped, _) = _sweep_and_jump_paths(mesh, law, np.where(left, -2.0e6, 0.0))
+    np.testing.assert_array_equal(jumped.status, swept.status)
+    np.testing.assert_allclose(jumped.slip_acc, swept.slip_acc, rtol=1e-8)
 
 
 def test_march_records_and_determinism():
