@@ -21,6 +21,7 @@ __all__ = [
     "MeshError",
     "build_axis",
     "build_structured_domain",
+    "dissection_order",
     "geometric_sizes",
     "local_frame",
 ]
@@ -242,6 +243,7 @@ class Mesh:
     regions: np.ndarray
     interfaces: InterfaceSet
     bounds: np.ndarray  # (2, 3) min/max of the unsheared domain box
+    lattice: np.ndarray  # (n_nodes, 3) lattice indices (i, j, k); twins copy their origin's
     min_jacobian: float = 0.0
 
     @property
@@ -325,6 +327,40 @@ def _shear_coefficients(xs, faults):
     return np.interp(xs, cx, ca)
 
 
+def dissection_order(lattice):
+    """Geometric nested-dissection order of nodes on an (i, j, k) lattice.
+
+    An index box is bisected at the mid plane of its longest axis; the
+    left half comes first, then the right half, then the separator plane,
+    recursively until a box has no interior plane.  Nodes that share
+    lattice indices (split twins) stay together.  Hexahedra couple only
+    nodes at most one index apart, so the two halves never couple and a
+    symmetric factorization in this order confines each half's fill to
+    that half and its separators.
+    """
+    lattice = np.asarray(lattice)
+    order = []
+
+    def visit(nodes, lo, hi):
+        if nodes.size == 0:
+            return
+        span = hi - lo
+        axis = int(np.argmax(span))
+        if span[axis] < 2:
+            order.append(nodes)
+            return
+        mid = lo[axis] + span[axis] // 2
+        left_hi, right_lo = hi.copy(), lo.copy()
+        left_hi[axis], right_lo[axis] = mid - 1, mid + 1
+        at = lattice[nodes, axis]
+        visit(nodes[at < mid], lo, left_hi)
+        visit(nodes[at > mid], right_lo, hi)
+        order.append(nodes[at == mid])
+
+    visit(np.arange(lattice.shape[0]), lattice.min(axis=0), lattice.max(axis=0))
+    return np.concatenate(order)
+
+
 def _axis_of(field_value):
     if isinstance(field_value, np.ndarray):
         if field_value.ndim != 1 or field_value.size < 2 or np.any(np.diff(field_value) <= 0.0):
@@ -361,6 +397,8 @@ def build_structured_domain(spec: DomainSpec) -> Mesh:
     pts = np.stack([X + A * (Z - za), Y, Z], axis=-1)
     # node id layout: i fastest, then j, then k
     points = pts.transpose(2, 1, 0, 3).reshape(-1, 3).copy()
+    ijk = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1), np.arange(nz + 1), indexing="ij")
+    lattice = np.stack(ijk, axis=-1).transpose(2, 1, 0, 3).reshape(-1, 3)
 
     def nid(i, j, k):
         return (k * (ny + 1) + j) * (nx + 1) + i
@@ -403,7 +441,7 @@ def build_structured_domain(spec: DomainSpec) -> Mesh:
     # split nodes, one fault at a time; a lattice node is duplicated exactly
     # when every in-domain face of its lattice plane that touches it belongs
     # to the fault, which keeps tip and junction nodes shared
-    extra_points = []
+    extra_points, extra_lattice = [], []
     next_id = points.shape[0]
     corner_lookup = {c: a for a, c in enumerate(_HEX_CORNERS)}
     for f, p, u0, u1, k0, k1 in resolved:
@@ -444,15 +482,18 @@ def build_structured_domain(spec: DomainSpec) -> Mesh:
                     if not plus or not minus:
                         continue  # one-sided group (already cut by another fault)
                     if old_id < points.shape[0]:
-                        coords = points[old_id]
+                        coords, where = points[old_id], lattice[old_id]
                     else:
                         coords = extra_points[old_id - points.shape[0]]
+                        where = extra_lattice[old_id - points.shape[0]]
                     extra_points.append(coords)
+                    extra_lattice.append(where)
                     for c, l in plus:
                         hexes[c, l] = next_id
                     next_id += 1
     if extra_points:
         points = np.vstack([points, np.array(extra_points)])
+        lattice = np.vstack([lattice, np.array(extra_lattice)])
 
     # interface elements, read from the final (post-split) connectivity
     fault_names = [f.name for f, *_ in resolved]
@@ -574,5 +615,6 @@ def build_structured_domain(spec: DomainSpec) -> Mesh:
         regions=regions,
         interfaces=iface,
         bounds=bounds,
+        lattice=lattice,
         min_jacobian=minj,
     )

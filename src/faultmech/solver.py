@@ -10,6 +10,13 @@ factorization of the reduced stiffness: within a step that starts at
 tractions t_start, the stabilized jumps are
 g_stab = g0 - (W - L) (t - t_start), with g0 the jumps at t_start.
 
+The reduced stiffness K_ff is SPD.  Its free dofs are numbered in the
+geometric nested-dissection order of the mesh lattice
+(mesh.dissection_order over Mesh.lattice, each node's dofs kept
+together), and SuperLU factors it in that order as given, pivoting on the
+diagonal.  Fill then stays in the separator planes, which cuts both the
+factorization and the back-substitutions that build W.
+
 Each loading step solves the interface problem alone: an exact Newton
 loop on the tractions with the stick/slip/open partition held fixed, and
 partition sweeps outside it until the partition settles.  A step costs
@@ -49,6 +56,7 @@ from .contact import (
     classify_all,
 )
 from .constitutive import tau_max
+from .mesh import dissection_order
 
 __all__ = [
     "ContactSolver",
@@ -174,8 +182,14 @@ class ContactSolver:
         self.stab = stab_matrix(mesh, cell_young, beta=self.config.stab_beta)
 
         free = free_dof_mask(mesh)
-        self.free_idx = np.flatnonzero(free)
-        self.lu = splu(self.k_csr[self.free_idx][:, self.free_idx].tocsc())
+        nodes = dissection_order(mesh.lattice)
+        dofs = (3 * nodes[:, None] + np.arange(3)).ravel()
+        # a permutation, not sorted: the free dofs in nested-dissection node order
+        self.free_idx = dofs[free[dofs]]
+        # K_ff is SPD: factor in that order as given, pivoting on the diagonal
+        self.lu = splu(self.k_csr[self.free_idx][:, self.free_idx].tocsc(),
+                       permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
         self.c_ff = self.ops.coupling_csr[self.free_idx].tocsc()
         self.j_ff = self.ops.jump_csr[:, self.free_idx].tocsr()
         n_t = 3 * self.ops.count

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from faultmech.assembly import stiffness_matrix
+from faultmech.constitutive import ElasticMaterial
 from faultmech.mesh import (
     AxisSegment,
     DomainSpec,
@@ -14,6 +16,7 @@ from faultmech.mesh import (
     MeshError,
     build_axis,
     build_structured_domain,
+    dissection_order,
     geometric_sizes,
     local_frame,
 )
@@ -291,3 +294,69 @@ def test_adjacency_pairs_and_edge_lengths():
 def test_jacobian_validity_enforced():
     mesh = build_structured_domain(_box_spec(nx=3, ny=2, nz=2))
     assert mesh.min_jacobian > 0.0
+
+
+# --- lattice indices and the dissection order ---------------------------
+
+
+# VTK hexahedron corner order of the builder's connectivity
+HEX_CORNERS = np.array([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
+                        (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)])
+
+
+def _crossing_faults_spec(n=2):
+    return _box_spec(
+        nx=n, ny=n, nz=1, lx=2.0, ly=2.0, lz=1.0,
+        faults=[
+            FaultSpec("east", "x", 1.0, 0.0, 2.0, 0.0, 1.0),
+            FaultSpec("north", "y", 1.0, 0.0, 2.0, 0.0, 1.0),
+        ],
+    )
+
+
+def test_lattice_indices_with_crossing_faults():
+    mesh = build_structured_domain(_crossing_faults_spec())
+    nx = ny = 2
+    nz = 1
+    assert mesh.lattice.shape == (mesh.n_nodes, 3)
+    # unsplit nodes follow the builder's nid(i, j, k) layout, i fastest
+    for k in range(nz + 1):
+        for j in range(ny + 1):
+            for i in range(nx + 1):
+                assert tuple(mesh.lattice[(k * (ny + 1) + j) * (nx + 1) + i]) == (i, j, k)
+    # every hex corner, twins included, sits at its cell's lattice corner
+    for c in range(mesh.n_cells):
+        k, rest = divmod(c, nx * ny)
+        j, i = divmod(rest, nx)
+        want = np.array([i, j, k]) + HEX_CORNERS
+        np.testing.assert_array_equal(mesh.lattice[mesh.hexes[c]], want)
+    # twins copy the coordinates of the node they were split from
+    np.testing.assert_allclose(mesh.points, mesh.lattice.astype(float))
+    # one twin per side on each fault plane; the junction line splits twice,
+    # so its twins of twins carry the junction's indices as well
+    ijk, count = np.unique(mesh.lattice, axis=0, return_counts=True)
+    copies = dict(zip(map(tuple, ijk), count))
+    for (i, j, k), c in copies.items():
+        assert c == {0: 1, 1: 2, 2: 4}[int(i == 1) + int(j == 1)]
+
+
+def test_dissection_order_is_a_permutation():
+    mesh = build_structured_domain(_crossing_faults_spec(n=6))
+    order = dissection_order(mesh.lattice)
+    np.testing.assert_array_equal(np.sort(order), np.arange(mesh.n_nodes))
+
+
+def test_dissection_halves_do_not_couple():
+    spec = _box_spec(nx=5, ny=3, nz=2, lx=5.0, ly=3.0, lz=2.0,
+                     faults=[FaultSpec("F", "x", 2.0, 0.0, 3.0, 0.0, 2.0)])
+    mesh = build_structured_domain(spec)
+    order = dissection_order(mesh.lattice)
+    # the top level splits x (the longest axis, 0..5) at plane i = 2, which
+    # holds the fault and its twins
+    i_of = mesh.lattice[order, 0]
+    left, right, sep = order[i_of < 2], order[i_of > 2], order[i_of == 2]
+    np.testing.assert_array_equal(order, np.concatenate([left, right, sep]))
+    k, _ = stiffness_matrix(mesh, [ElasticMaterial("rock", 2400.0, 10.0e9, 0.25)])
+    left, right, sep = ((3 * nodes[:, None] + np.arange(3)).ravel() for nodes in (left, right, sep))
+    assert k[left][:, sep].nnz > 0
+    assert k[left][:, right].nnz == 0

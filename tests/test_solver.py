@@ -6,8 +6,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
-from faultmech.assembly import divergence_forces
+from faultmech import solver as solver_module
+from faultmech.assembly import divergence_forces, free_dof_mask
 from faultmech.constitutive import ElasticMaterial, FrictionLaw, tau_max
 from faultmech.contact import OPEN, SLIP, STICK, kkt_report
 from faultmech.mesh import AxisSegment, DomainSpec, FaultSpec, build_structured_domain
@@ -176,6 +178,52 @@ def test_interface_compliance_is_area_symmetric_and_psd(build):
     assert np.abs(aw - aw.T).max() <= 1e-12 * scale
     eig = np.linalg.eigvalsh(0.5 * (aw + aw.T))
     assert eig.min() >= -1e-12 * eig.max()
+
+
+def _sorted_order_solver(monkeypatch, mesh, law):
+    """The solver as it factors without the dissection order: free dofs
+    sorted, SuperLU's default column ordering."""
+    with monkeypatch.context() as mp:
+        mp.setattr(solver_module, "dissection_order", lambda lattice: np.arange(len(lattice)))
+        mp.setattr(solver_module, "splu", lambda a, **kwargs: splu(a))
+        ref = ContactSolver(mesh, [MAT], law, _uniform_t0(mesh))
+    np.testing.assert_array_equal(ref.free_idx, np.flatnonzero(free_dof_mask(mesh)))
+    return ref
+
+
+# the load slips the through-going fault and leaves the buried one stuck
+@pytest.mark.parametrize("build, slips", [(_mesh_two_columns, True), (_buried_fault_mesh, False)])
+def test_dissection_order_matches_sorted_order_reference(build, slips, monkeypatch):
+    mesh = build()
+    solver = ContactSolver(mesh, [MAT], WEAK, _uniform_t0(mesh))
+    ref = _sorted_order_solver(monkeypatch, mesh, WEAK)
+    assert not np.array_equal(solver.free_idx, ref.free_idx)
+    np.testing.assert_array_equal(np.sort(solver.free_idx), ref.free_idx)
+    scale = np.abs(ref.w_stab).max()
+    assert np.abs(solver.w_stab - ref.w_stab).max() <= 1e-12 * scale
+
+    cell_dp = np.where(mesh.cell_centroids()[:, 0] < 1.0, -5.0e6, 0.0)
+    s1 = solver.march(StepsPressure(mesh, [cell_dp])).final
+    r1 = ref.march(StepsPressure(mesh, [cell_dp])).final
+    assert np.any(r1.status == SLIP) == slips
+    np.testing.assert_array_equal(s1.status, r1.status)
+    assert np.abs(s1.u - r1.u).max() <= 1e-12 * np.abs(r1.u).max()
+
+
+def test_dissection_order_fills_less_than_default_order():
+    seg = [AxisSegment(0.0, 5.0, "uniform", 1.0), AxisSegment(5.0, 10.0, "uniform", 1.0)]
+    spec = DomainSpec(
+        x_segments=seg,
+        y_segments=[AxisSegment(0.0, 10.0, "uniform", 1.0)],
+        z_segments=[AxisSegment(-10.0, 0.0, "uniform", 1.0)],
+        faults=[FaultSpec("F", "x", 5.0, 2.0, 8.0, -8.0, -2.0)],
+    )
+    mesh = build_structured_domain(spec)
+    assert mesh.n_cells == 1000
+    solver = ContactSolver(mesh, [MAT], STRONG, _uniform_t0(mesh))
+    free = np.flatnonzero(free_dof_mask(mesh))
+    plain = splu(solver.k_csr[free][:, free].tocsc())
+    assert solver.lu.nnz < plain.nnz
 
 
 def test_newton_quadratic_tail():
