@@ -6,17 +6,18 @@ vector stores dofs as 3*node + component.  Interface unknowns stack as
 3*element + local component (normal, then the two tangents).
 
 Bulk equilibrium is incremental with respect to an assumed
-self-equilibrated initial state: K u = f_div - C t_eff, where body forces
-never appear, pressure enters through its change only (f_div), and the
-interface term carries the change of total traction
-t_eff = t - t0 - dp_fault * n.  The bulk is linear, so the solver meets
-this exactly with its factorization of K; `assemble_system` evaluates
-only the interface rows.  The constraint rows read g + L dt = 0, with L
-the traction stabilization (`stab_matrix`) and dt the traction change
-over the step, so the rows take the stabilized jumps g_stab = J u + L dt
-and each depends on its own element alone.  With the jumps affine in the
-tractions, g_stab = g0 - (W - L) dt for the interface compliance
-W = J K^-1 C, and the Newton matrix on the tractions is E - D (W - L).
+self-equilibrated initial state: K u = G dp - C t_eff, where body forces
+never appear, pressure enters through its change dp only (G is the load
+operator of `divergence_forces`), and the interface term carries the
+change of total traction t_eff = t - t0 - dp_fault * n.  The bulk is
+linear, so the solver meets this exactly with its factorization of K;
+`assemble_system` evaluates only the interface rows.  The constraint rows
+read g + L dt = 0, with L the traction stabilization (`stab_matrix`) and
+dt the traction change over the step, so the rows take the stabilized
+jumps g_stab = J u + L dt and each depends on its own element alone.
+With the jumps affine in the tractions, g_stab = g0 - (W - L) dt for the
+interface compliance W = J K^-1 C, and the Newton matrix on the
+tractions is E - D (W - L).
 """
 from __future__ import annotations
 
@@ -127,25 +128,32 @@ def stiffness_matrix(mesh, materials):
     return k.tocsr(), cell_young
 
 
-def divergence_forces(mesh, materials, cell_dp):
-    """Nodal forces from a pore-pressure change: integral of biot*dp*grad(N).
+def divergence_forces(mesh, materials):
+    """Pore-pressure load operator G, sparse (3n, n_cells), CSR.
 
-    With tension-positive stress the residual reads K u - f; depletion
-    (dp < 0) therefore pulls the surrounding rock inward.
+    G @ cell_dp are the nodal forces of a cell-wise pressure change, the
+    integral of biot*dp*grad(N) over each cell; column c holds cell c's
+    24 entries (8 corners, 3 components), biot taken from the material of
+    the cell's region.  With tension-positive stress the residual reads
+    K u - G dp; depletion (dp < 0) therefore pulls the surrounding rock
+    inward.  Every column sums to zero per component.
     """
-    alphas = np.array([m.biot for m in materials])
-    scale = alphas[mesh.regions] * np.asarray(cell_dp, dtype=float)
-    f = np.zeros((mesh.n_nodes, 3))
+    alphas = np.array([m.biot for m in materials])[mesh.regions]
+    rows, cols, vals = [], [], []
     for start in range(0, mesh.n_cells, _CHUNK):
-        cells = slice(start, min(start + _CHUNK, mesh.n_cells))
+        cells = np.arange(start, min(start + _CHUNK, mesh.n_cells))
         conn = mesh.hexes[cells]
-        xyz = mesh.points[conn]
-        fe = np.zeros((conn.shape[0], 8, 3))
+        ge = np.zeros((cells.size, 8, 3))
         for grad in _GRADS:
-            dndx, det = _batch_gauss(xyz, grad)
-            fe += (scale[cells, None, None] * det[:, None, None]) * dndx
-        np.add.at(f, conn, fe)
-    return f.ravel()
+            dndx, det = _batch_gauss(mesh.points[conn], grad)
+            ge += det[:, None, None] * dndx
+        vals.append((alphas[cells, None, None] * ge).ravel())
+        rows.append((3 * conn[:, :, None] + np.arange(3)).ravel())
+        cols.append(np.repeat(cells, 24))
+    return sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(3 * mesh.n_nodes, mesh.n_cells),
+    ).tocsr()
 
 
 @dataclass(frozen=True)

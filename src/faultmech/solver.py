@@ -1,7 +1,7 @@
 """Quasi-static stepping with an active-set Coulomb contact loop.
 
 The bulk is linear elastic, so for given interface tractions the
-cumulative displacement is exact: u = K^-1 (f_div - C t_eff).  The local
+cumulative displacement is exact: u = K^-1 (G dp - C t_eff).  The local
 jumps are then affine in the tractions, g = g_load - W t_eff, with the
 dense interface compliance W = J K^-1 C.  The constraint rows add the
 traction stabilization L to the jumps, so Newton works on the one dense
@@ -19,13 +19,16 @@ factorization and the back-substitutions that build W.
 
 Each loading step solves the interface problem alone: an exact Newton
 loop on the tractions with the stick/slip/open partition held fixed, and
-partition sweeps outside it until the partition settles.  A step costs
-two sparse back-substitutions, one for g0 and one to record u at the
-converged tractions; every Newton iterate, line-search trial, sweep and
-snap-search partition works on the dense interface system only.  The
-Newton direction solves (E - D (W - L)) dt = -r_t, with D and E
-per-element 3x3 blocks; a residual check guards it, and a singular or
-inaccurate solve raises SolverError.
+partition sweeps outside it until the partition settles.  The pressure
+load is linear in the cell pressure changes, so set-up also builds the
+load operator G once (`divergence_forces`).  A step costs one sparse
+mat-vec with it, f = G dp, plus two sparse back-substitutions, one for
+g0 and one to record u at the converged tractions; every Newton iterate,
+line-search trial, sweep and snap-search partition works on the dense
+interface system only.  The Newton direction solves
+(E - D (W - L)) dt = -r_t, with D and E per-element 3x3 blocks; a
+residual check guards it, and a singular or inaccurate solve raises
+SolverError.
 """
 from __future__ import annotations
 
@@ -190,6 +193,7 @@ class ContactSolver:
         self.lu = splu(self.k_csr[self.free_idx][:, self.free_idx].tocsc(),
                        permc_spec="NATURAL", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
+        self.div_ff = divergence_forces(mesh, self.materials)[self.free_idx]
         self.c_ff = self.ops.coupling_csr[self.free_idx].tocsc()
         self.j_ff = self.ops.jump_csr[:, self.free_idx].tocsr()
         n_t = 3 * self.ops.count
@@ -306,7 +310,7 @@ class ContactSolver:
     def solve_step(self, state: StepState, cell_dp, fault_dp, jump_ok=False):
         cfg = self.config
         m = self.ops.count
-        f_ff = divergence_forces(self.mesh, self.materials, cell_dp)[self.free_idx]
+        f_ff = self.div_ff @ np.asarray(cell_dp, dtype=float)
         dp_fault = np.zeros(m) if fault_dp is None else np.asarray(fault_dp, dtype=float)
         # the jumps at the start tractions under this step's load,
         # g_load - W t_eff(t_start)

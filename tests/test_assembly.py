@@ -137,7 +137,7 @@ def test_global_stiffness_matches_dense_reference():
 def test_divergence_forces_match_reference_and_balance():
     mesh = _plain_mesh(2, 1, 1)
     dp = np.array([-2.0e6, 3.0e6])
-    f = divergence_forces(mesh, [MAT], dp)
+    f = divergence_forces(mesh, [MAT]) @ dp
     ref = np.zeros((mesh.n_nodes, 3))
     for c in range(mesh.n_cells):
         fe = _ref_div_forces(mesh.points[mesh.hexes[c]], MAT.biot * dp[c])
@@ -150,9 +150,35 @@ def test_divergence_forces_match_reference_and_balance():
 def test_divergence_forces_biot_scaling():
     mesh = _plain_mesh(1, 1, 1)
     half = ElasticMaterial("h", 2000.0, 10.0e9, 0.25, biot=0.5)
-    f1 = divergence_forces(mesh, [MAT], np.array([1.0e6]))
-    f2 = divergence_forces(mesh, [half], np.array([1.0e6]))
+    f1 = divergence_forces(mesh, [MAT]) @ np.array([1.0e6])
+    f2 = divergence_forces(mesh, [half]) @ np.array([1.0e6])
     np.testing.assert_allclose(f2, 0.5 * f1, rtol=1e-12)
+
+
+def test_divergence_operator_two_materials_graded_cells():
+    spec = DomainSpec(
+        x_segments=[AxisSegment(0.0, 3.0, "geometric", 0.5, ratio_max=1.4)],
+        y_segments=[AxisSegment(0.0, 2.0, "geometric", 0.5, grow_from="end")],
+        z_segments=[AxisSegment(-2.0, 0.0, "uniform", 1.0)],
+        faults=[],
+        region_fn=lambda c: 0 if c[0] < 1.0 else 1,
+    )
+    mesh = build_structured_domain(spec)
+    mats = [MAT, ElasticMaterial("soft", 2200.0, 4.0e9, 0.30, biot=0.7)]
+    assert set(mesh.regions) == {0, 1}
+    g = divergence_forces(mesh, mats)
+    assert g.shape == (3 * mesh.n_nodes, mesh.n_cells)
+    assert g.nnz == 24 * mesh.n_cells
+    dp = np.random.default_rng(4).uniform(-3.0e6, 3.0e6, mesh.n_cells)
+    ref = np.zeros((mesh.n_nodes, 3))
+    for c in range(mesh.n_cells):
+        fe = _ref_div_forces(mesh.points[mesh.hexes[c]], mats[mesh.regions[c]].biot * dp[c])
+        np.add.at(ref, mesh.hexes[c], fe)
+    f = g @ dp
+    assert np.abs(f - ref.ravel()).max() <= 1e-12 * np.abs(ref).max()
+    # every cell's forces balance on their own
+    col_sums = np.stack([np.asarray(g[k::3].sum(axis=0)).ravel() for k in range(3)])
+    assert np.abs(col_sums).max() <= 1e-12 * abs(g).max()
 
 
 def _two_block_mesh(ny=1, nz=1, h=1.0):

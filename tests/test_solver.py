@@ -147,7 +147,7 @@ def test_recorded_displacement_is_in_force_balance():
     assert np.any(s1.status == SLIP)
     free = solver.free_idx
     k_ff = solver.k_csr[free][:, free]
-    f_f = divergence_forces(mesh, [MAT], cell_dp)[free]
+    f_f = (divergence_forces(mesh, [MAT]) @ cell_dp)[free]
     t_eff = s1.t_loc - solver.t0  # sealing fault: no fault pressure
     ku = k_ff @ s1.u[free]
     res = ku + (solver.ops.coupling_csr @ t_eff.ravel())[free] - f_f
@@ -178,6 +178,32 @@ def test_interface_compliance_is_area_symmetric_and_psd(build):
     assert np.abs(aw - aw.T).max() <= 1e-12 * scale
     eig = np.linalg.eigvalsh(0.5 * (aw + aw.T))
     assert eig.min() >= -1e-12 * eig.max()
+
+
+def _buried_fault_step(dp):
+    mesh = _buried_fault_mesh()
+    left = mesh.cell_centroids()[:, 0] < 1.0
+    solver = ContactSolver(mesh, [MAT], WEAK, _uniform_t0(mesh))
+    s1 = solver.march(StepsPressure(mesh, [np.where(left, dp, 0.0)])).final
+    rep = kkt_report(
+        s1.status, s1.t_loc, s1.g_n_book, s1.dg_t, s1.slip_acc_start, WEAK, solver.tols
+    )
+    assert rep.ok(1e-2, 1e-10, 1e-6, 1e-6, 1e-8), rep
+    return s1
+
+
+def test_buried_fault_moderate_depletion_sticks():
+    s1 = _buried_fault_step(-5.0e6)
+    assert s1.step == 1
+    assert np.all(s1.status == STICK)
+
+
+@pytest.mark.xfail(strict=True, raises=SolverError, reason=(
+    "ROADMAP item 1: on the buried fault, whose perimeter nodes stay unsplit, "
+    "step 1 fails with 'active set did not settle in 20 sweeps' after the "
+    "full bisection depth"))
+def test_buried_fault_strong_depletion_converges():
+    assert _buried_fault_step(-10.0e6).step == 1
 
 
 def _sorted_order_solver(monkeypatch, mesh, law):
@@ -332,6 +358,28 @@ def test_bisected_step_sums_substep_counters(monkeypatch):
     assert final.step == 1 and len(halves) == 2
     assert final.info.newton_iters == halves[0].newton_iters + halves[1].newton_iters
     assert final.info.activeset_iters == sum(h.activeset_iters for h in halves)
+
+
+def test_pressure_load_operator_is_built_once(monkeypatch):
+    # the load operator is set-up work: a march, bisected substeps
+    # included, never integrates the pressure load again
+    calls = []
+    real = solver_module.divergence_forces
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "divergence_forces", counting)
+    mesh = _mesh_two_columns(nz=3)
+    left = mesh.cell_centroids()[:, 0] < 1.0
+    solver = ContactSolver(mesh, [MAT], WEAK, _uniform_t0(mesh),
+                           config=SolverConfig(activeset_max=1))
+    assert len(calls) == 1
+    final = solver.march(StepsPressure(mesh, [np.where(left, -4.0e6, 0.0)])).final
+    # an unbisected step under activeset_max=1 converges in one Newton pass
+    assert final.step == 1 and final.info.activeset_iters > 1
+    assert len(calls) == 1
 
 
 def test_checkpoint_restart_matches_straight_run(tmp_path):
