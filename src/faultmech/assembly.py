@@ -163,7 +163,6 @@ class InterfaceOps:
     jump_csr: sparse.csr_matrix    # (3m, 3n): u -> area-averaged local jump
     coupling_csr: sparse.csr_matrix  # (3n, 3m): local traction -> residual force
     areas: np.ndarray
-    frames: np.ndarray
     l_ref: float
 
     @property
@@ -178,7 +177,7 @@ def interface_blocks(mesh) -> InterfaceOps:
     if m == 0:
         empty_j = sparse.csr_matrix((0, ndof))
         empty_c = sparse.csr_matrix((ndof, 0))
-        return InterfaceOps(empty_j, empty_c, np.zeros(0), np.zeros((0, 3, 3)), 1.0)
+        return InterfaceOps(empty_j, empty_c, np.zeros(0), 1.0)
 
     dofs_top = (3 * iset.top_nodes[:, :, None] + np.arange(3)).reshape(m, 12)
     dofs_bot = (3 * iset.bottom_nodes[:, :, None] + np.arange(3)).reshape(m, 12)
@@ -199,14 +198,13 @@ def interface_blocks(mesh) -> InterfaceOps:
         (cdata, (ccols, rows)), shape=(ndof, 3 * m)
     ).tocsr()
     l_ref = float(np.sqrt(np.median(iset.areas)))
-    return InterfaceOps(jump_csr, coupling_csr, iset.areas.copy(), iset.frames.copy(),
-                        l_ref)
+    return InterfaceOps(jump_csr, coupling_csr, iset.areas.copy(), l_ref)
 
 
-def stab_matrix(mesh, cell_young, beta=1.0):
+def stab_matrix(mesh, cell_young):
     """Edge-based jump penalty L on neighbouring interface tractions.
 
-    Graph Laplacian with weight beta * edge_length / E_loc per shared edge,
+    Graph Laplacian with weight edge_length / E_loc per shared edge,
     E_loc the harmonic mean of the four hexes touching the edge.  Each row
     is divided by its facet area, matching the facet-averaged jump rows it
     is added to, so diag(areas) @ L is the symmetric positive semidefinite
@@ -221,7 +219,7 @@ def stab_matrix(mesh, cell_young, beta=1.0):
     stack = np.stack([iset.cell_top[i], iset.cell_bottom[i],
                       iset.cell_top[j], iset.cell_bottom[j]])
     e_loc = 4.0 / (1.0 / cell_young[stack]).sum(axis=0)
-    w = beta * iset.edge_lengths / e_loc
+    w = iset.edge_lengths / e_loc
     rows = np.concatenate([i, j, i, j])
     cols = np.concatenate([i, j, j, i])
     data = np.concatenate([w, w, -w, -w])

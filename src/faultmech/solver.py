@@ -29,12 +29,17 @@ interface system only.  The Newton direction solves
 (E - D (W - L)) dt = -r_t, with D and E per-element 3x3 blocks; a
 residual check guards it, and a singular or inaccurate solve raises
 SolverError.
+
+A solver is built from the model alone, ContactSolver(mesh, materials,
+law, t0_loc).  Its Newton, line-search, active-set and bisection controls
+are the module constants below.
 """
 from __future__ import annotations
 
 import hashlib
 import itertools
 import json
+import os
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -51,12 +56,12 @@ from .assembly import (
     stiffness_matrix,
 )
 from .contact import (
-    DIRECTION_EPS,
     OPEN,
     SLIP,
     STICK,
     ContactTols,
     classify_all,
+    regularized_directions,
 )
 from .constitutive import tau_max
 from .mesh import dissection_order
@@ -64,7 +69,6 @@ from .mesh import dissection_order
 __all__ = [
     "ContactSolver",
     "History",
-    "SolverConfig",
     "SolverError",
     "StepInfo",
     "StepState",
@@ -81,25 +85,17 @@ JUMP_MAX_SUPPORT = 6
 # right-hand-side columns per sparse solve when building W at set-up
 SCHUR_CHUNK = 256
 
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Newton / active-set / linear-solve controls.
-
-    gap_atol is the absolute stop on interface rows (meters); it is what
-    guarantees the reported constraint residuals meet the contact
-    bookkeeping tolerances.
-    """
-
-    newton_max: int = 25
-    activeset_max: int = 20
-    linear_tol: float = 1.0e-10
-    backtrack_factor: float = 0.5
-    backtrack_max: int = 8
-    stab_beta: float = 1.0
-    gap_atol: float = 1.0e-11
-    align_tol: float = 1.0e-12
-    substep_depth: int = 8
+# Newton / active-set / linear-solve controls
+NEWTON_MAX = 25
+ACTIVESET_MAX = 20
+LINEAR_TOL = 1.0e-10
+BACKTRACK_FACTOR = 0.5
+BACKTRACK_MAX = 8
+# absolute stop on interface rows (m); it is what guarantees the reported
+# constraint residuals meet the contact bookkeeping tolerances
+GAP_ATOL = 1.0e-11
+ALIGN_TOL = 1.0e-12
+SUBSTEP_DEPTH = 8
 
 
 @dataclass
@@ -146,17 +142,27 @@ class History:
         return self.records[-1]
 
 
-def _fingerprint(mesh, materials, law, t0, config, tols):
+def _fingerprint(mesh, materials, law, t0):
     """SHA-256 of everything that defines the discrete model."""
     iset = mesh.interfaces
-    digest = hashlib.sha256(
-        repr((materials, law, config, tols, iset.fault_names)).encode())
+    digest = hashlib.sha256(repr((materials, law, iset.fault_names)).encode())
     arrays = [mesh.points, mesh.hexes, mesh.regions, mesh.bounds, t0]
     arrays += [v for v in vars(iset).values() if isinstance(v, np.ndarray)]
     for a in arrays:
         digest.update(repr((a.dtype.str, a.shape)).encode())
         digest.update(np.ascontiguousarray(a).tobytes())
     return digest.hexdigest()
+
+
+def _field_arrays(pressure, step):
+    """(cell_dp, fault_dp) of one step of a pressure source, as float arrays."""
+    fld = pressure.field_at(step)
+    return np.asarray(fld.cell_dp, dtype=float), np.asarray(fld.fault_dp, dtype=float)
+
+
+def _partition_key(status, d_ref, frozen_slip):
+    """Hashable identity of one sweep's partition, for cycle detection."""
+    return status.tobytes(), d_ref.tobytes(), frozen_slip.tobytes()
 
 
 def _blockmul(blocks, x):
@@ -167,22 +173,19 @@ def _blockmul(blocks, x):
 class ContactSolver:
     """Owns the discrete operators and marches the loading schedule."""
 
-    def __init__(self, mesh, materials, law, t0_loc, config: SolverConfig | None = None,
-                 tols: ContactTols | None = None):
+    def __init__(self, mesh, materials, law, t0_loc):
         self.mesh = mesh
         self.materials = list(materials)
         self.law = law
-        self.config = config or SolverConfig()
-        self.tols = tols or ContactTols()
+        self.tols = ContactTols()
         self.t0 = np.asarray(t0_loc, dtype=float).reshape(-1, 3)
-        self.fingerprint = _fingerprint(mesh, self.materials, law, self.t0,
-                                        self.config, self.tols)
+        self.fingerprint = _fingerprint(mesh, self.materials, law, self.t0)
 
         self.k_csr, cell_young = stiffness_matrix(mesh, self.materials)
         self.ops = interface_blocks(mesh)
         if self.ops.count != self.t0.shape[0]:
             raise ValueError("initial traction rows do not match interface count")
-        self.stab = stab_matrix(mesh, cell_young, beta=self.config.stab_beta)
+        self.stab = stab_matrix(mesh, cell_young)
 
         free = free_dof_mask(mesh)
         nodes = dissection_order(mesh.lattice)
@@ -208,10 +211,7 @@ class ContactSolver:
 
     def initial_state(self) -> StepState:
         m = self.ops.count
-        tt = np.hypot(self.t0[:, 1], self.t0[:, 2])
-        d_ref = np.tile([1.0, 0.0], (m, 1))
-        ok = tt > 0.0
-        d_ref[ok] = self.t0[ok, 1:] / tt[ok, None]
+        d_ref, _, _ = regularized_directions(self.t0[:, 1:], np.tile([1.0, 0.0], (m, 1)))
         status = classify_all(
             np.full(m, STICK), self.t0, np.zeros(m), np.zeros((m, 2)),
             np.zeros(m), d_ref, self.law, self.tols,
@@ -258,7 +258,7 @@ class ContactSolver:
         scale = max(np.linalg.norm(dd), np.linalg.norm(et), np.linalg.norm(sys.r_t), 1e-300)
         # absolute floor: a solve residual two decades below the convergence
         # tolerance cannot change any convergence decision
-        return res <= self.config.linear_tol * scale + 1e-2 * self.config.gap_atol
+        return res <= LINEAR_TOL * scale + 1e-2 * GAP_ATOL
 
     # ------------------------------------------------------------------
 
@@ -272,23 +272,22 @@ class ContactSolver:
         )
 
     def _newton(self, t, status, d_ref, state, g0):
-        cfg = self.config
         norms = []
-        for it in range(cfg.newton_max + 1):
+        for it in range(NEWTON_MAX + 1):
             sys = self._assemble(t, status, d_ref, state, g0, True)
             phi = float(np.linalg.norm(sys.r_t))
             norms.append(phi)
             rt_inf = float(np.max(np.abs(sys.r_t), initial=0.0))
-            if rt_inf <= cfg.gap_atol:
+            if rt_inf <= GAP_ATOL:
                 return t, sys, norms, it
-            if it == cfg.newton_max:
+            if it == NEWTON_MAX:
                 raise SolverError(
                     f"Newton stalled after {it} iterations (|r_t|={rt_inf:.3e} m)")
             dt = self._linear_solve(sys).reshape(t.shape)
 
             alpha = 1.0
             best = None
-            for _ in range(cfg.backtrack_max + 1):
+            for _ in range(BACKTRACK_MAX + 1):
                 t_try = t + alpha * dt
                 trial = self._assemble(t_try, status, d_ref, state, g0, False)
                 phi_try = float(np.linalg.norm(trial.r_t))
@@ -296,7 +295,7 @@ class ContactSolver:
                     best = (phi_try, t_try)
                 if phi_try <= (1.0 - 1e-4 * alpha) * phi:
                     break
-                alpha *= cfg.backtrack_factor
+                alpha *= BACKTRACK_FACTOR
             if best[0] >= phi:
                 raise SolverError(
                     f"line search failed to reduce the residual "
@@ -308,13 +307,11 @@ class ContactSolver:
     # ------------------------------------------------------------------
 
     def solve_step(self, state: StepState, cell_dp, fault_dp, jump_ok=False):
-        cfg = self.config
         m = self.ops.count
-        f_ff = self.div_ff @ np.asarray(cell_dp, dtype=float)
-        dp_fault = np.zeros(m) if fault_dp is None else np.asarray(fault_dp, dtype=float)
+        f_ff = self.div_ff @ cell_dp
         # the jumps at the start tractions under this step's load,
         # g_load - W t_eff(t_start)
-        g0 = self.j_ff @ self.lu.solve(f_ff - self.c_ff @ self._t_eff(state.t_loc, dp_fault))
+        g0 = self.j_ff @ self.lu.solve(f_ff - self.c_ff @ self._t_eff(state.t_loc, fault_dp))
 
         t = state.t_loc
         status = state.status
@@ -322,7 +319,7 @@ class ContactSolver:
         frozen_slip = np.zeros(m, dtype=bool)
         flip_run = np.zeros(m, dtype=np.int64)
         contended = np.zeros(m, dtype=bool)
-        seen = {(status.tobytes(), d_ref.tobytes(), frozen_slip.tobytes())}
+        seen = {_partition_key(status, d_ref, frozen_slip)}
         info = StepInfo()
 
         sweeps = 0
@@ -331,10 +328,8 @@ class ContactSolver:
         cycle_status = cycle_d_ref = None
         stuck_reason = None
         while True:
-            if sweeps >= cfg.activeset_max:
-                stuck_reason = (
-                    f"active set did not settle in {cfg.activeset_max} sweeps"
-                )
+            if sweeps >= ACTIVESET_MAX:
+                stuck_reason = f"active set did not settle in {ACTIVESET_MAX} sweeps"
             if stuck_reason is not None:
                 # Last resort for a genuine snap event: past a limit load
                 # the rate problem can lose its solution and the state has
@@ -354,7 +349,7 @@ class ContactSolver:
                 demote_queue = None
                 sweeps = 0
                 stuck_reason = None
-                seen = {(status.tobytes(), d_ref.tobytes(), frozen_slip.tobytes())}
+                seen = {_partition_key(status, d_ref, frozen_slip)}
                 continue
             t, sys, norms, iters = self._newton(t, status, d_ref, state, g0)
             info.newton_iters.append(iters)
@@ -363,10 +358,7 @@ class ContactSolver:
             dt_step = t - state.t_loc
             g = (g0 - self.w_stab @ dt_step.ravel()).reshape(m, 3) - self.stab @ dt_step
 
-            ds = np.hypot(sys.dg_slip[:, 0], sys.dg_slip[:, 1])
-            moved = ds > DIRECTION_EPS
-            d_conv = np.zeros((m, 2))
-            d_conv[moved] = sys.dg_slip[moved] / ds[moved, None]
+            d_conv, ds, still = regularized_directions(sys.dg_slip, d_ref)
 
             # an increment opposing the enforced traction direction is
             # negative dissipation; the reversal rule sends those to stick
@@ -389,21 +381,18 @@ class ContactSolver:
             changed = bool(np.any(new_status != status))
             # realign pass directions with the increments the pass actually
             # produced; repeat until the fixed point
-            cont = (new_status == SLIP) & (status == SLIP) & moved
-            drift = cont & (np.einsum("ij,ij->i", d_conv, d_ref) < 1.0 - cfg.align_tol)
+            cont = (new_status == SLIP) & (status == SLIP) & ~still
+            drift = cont & (np.einsum("ij,ij->i", d_conv, d_ref) < 1.0 - ALIGN_TOL)
             if drift.any():
                 d_ref[drift] = d_conv[drift]
                 changed = True
             entering = (new_status == SLIP) & (status != SLIP)
-            if entering.any():
-                tt = np.hypot(t[:, 1], t[:, 2])
-                ok = entering & (tt > 0.0)
-                d_ref[ok] = t[ok, 1:] / tt[ok, None]
+            d_ref[entering] = regularized_directions(t[:, 1:], d_ref)[0][entering]
             if not changed:
                 break
             status = new_status
             sweeps += 1
-            fp = (status.tobytes(), d_ref.tobytes(), frozen_slip.tobytes())
+            fp = _partition_key(status, d_ref, frozen_slip)
             if fp in seen:
                 # A revisited partition means the sweep map cycles.  The
                 # usual culprit is a slipper that has to unload to stick
@@ -429,22 +418,18 @@ class ContactSolver:
                 status[frozen_slip & (status != OPEN)] = SLIP
                 info.cycle_recoveries += 1
                 sweeps = 0
-                fp = (status.tobytes(), d_ref.tobytes(), frozen_slip.tobytes())
-                seen = {fp}
+                seen = {_partition_key(status, d_ref, frozen_slip)}
                 continue
             seen.add(fp)
 
-        ds = np.hypot(sys.dg_slip[:, 0], sys.dg_slip[:, 1])
+        # the last sweep left d_ref as it was, so its d_conv and ds still hold
         slipping = status == SLIP
         slip_acc = state.slip_acc.copy()
         slip_acc[slipping] += ds[slipping]
-        d_ref_new = d_ref.copy()
-        upd = slipping & (ds > DIRECTION_EPS)
-        d_ref_new[upd] = sys.dg_slip[upd] / ds[upd, None]
-        r_rows = sys.r_t.reshape(m, 3)
-        g_n_book = np.where(status == OPEN, g[:, 0], r_rows[:, 0])
+        d_ref_new = np.where(slipping[:, None], d_conv, d_ref)
+        g_n_book = np.where(status == OPEN, g[:, 0], sys.r_t[0::3])
         u = np.zeros(3 * self.mesh.n_nodes)
-        u[self.free_idx] = self.lu.solve(f_ff - self.c_ff @ self._t_eff(t, dp_fault))
+        u[self.free_idx] = self.lu.solve(f_ff - self.c_ff @ self._t_eff(t, fault_dp))
 
         new_state = StepState(
             step=state.step + 1,
@@ -472,23 +457,16 @@ class ContactSolver:
         the rigid benchmark resolves a snap.  Combinations are capped, so
         a very wide contention returns None and the step fails upward.
         """
-        m = self.ops.count
         idx = np.nonzero(contended & (state.status != OPEN))[0]
         if idx.size == 0:
             return None
-        tts_now = np.hypot(t_now[:, 1], t_now[:, 2])
         if idx.size > JUMP_MAX_SUPPORT:
             caps_now = tau_max(self.law, t_now[:, 0], state.slip_acc)
-            ratio = tts_now[idx] / np.maximum(caps_now[idx], 1e-30)
+            ratio = np.hypot(t_now[idx, 1], t_now[idx, 2]) / np.maximum(caps_now[idx], 1e-30)
             order = np.argsort(-ratio, kind="stable")
             idx = np.sort(idx[order[:JUMP_MAX_SUPPORT]])
 
-        dirs = np.zeros((idx.size, 2))
-        for k, e in enumerate(idx):
-            if tts_now[e] > 0.0:
-                dirs[k] = t_now[e, 1:] / tts_now[e]
-            else:
-                dirs[k] = state.d_ref[e]
+        dirs, _, _ = regularized_directions(t_now[idx, 1:], state.d_ref[idx])
 
         best = None
         best_score = np.inf
@@ -533,7 +511,12 @@ class ContactSolver:
         info = None if state.info is None else asdict(state.info)
         values = {f.name: getattr(state, f.name) for f in fields(StepState)}
         values["info"] = json.dumps(info)
-        np.savez(path, fingerprint=self.fingerprint, **values)
+        # write beside the target and rename: a crash mid-write keeps the
+        # last good checkpoint, and the file lands at exactly `path`
+        tmp = f"{os.fspath(path)}.tmp"
+        with open(tmp, "wb") as fh:
+            np.savez(fh, fingerprint=self.fingerprint, **values)
+        os.replace(tmp, path)
 
     def load_checkpoint(self, path) -> StepState:
         """Read a state written by a march of a solver for the same model."""
@@ -556,10 +539,9 @@ class ContactSolver:
         states, so accumulated slip follows the loading path.
         """
         try:
-            return self.solve_step(state, cell_dp, fault_dp,
-                                   jump_ok=depth >= self.config.substep_depth)
+            return self.solve_step(state, cell_dp, fault_dp, jump_ok=depth >= SUBSTEP_DEPTH)
         except SolverError:
-            if depth >= self.config.substep_depth:
+            if depth >= SUBSTEP_DEPTH:
                 raise
         mid_cell = 0.5 * (prev_cell + cell_dp)
         mid_fault = 0.5 * (prev_fault + fault_dp)
@@ -585,19 +567,11 @@ class ContactSolver:
             state = replace(state, time=float(pressure.times[0]))
             records.append(state)
         last = pressure.n_steps if stop_after is None else min(stop_after, pressure.n_steps)
-        m = self.ops.count
+        prev = _field_arrays(pressure, state.step)
         for step in range(state.step + 1, last + 1):
-            fld = pressure.field_at(step)
-            prv = pressure.field_at(step - 1)
-            cell_dp = np.asarray(fld.cell_dp, dtype=float)
-            fault_dp = (np.zeros(m) if fld.fault_dp is None
-                        else np.asarray(fld.fault_dp, dtype=float))
-            prev_cell = np.asarray(prv.cell_dp, dtype=float)
-            prev_fault = (np.zeros(m) if prv.fault_dp is None
-                          else np.asarray(prv.fault_dp, dtype=float))
+            cur = _field_arrays(pressure, step)
             try:
-                state, info = self._advance(state, prev_cell, prev_fault,
-                                            cell_dp, fault_dp, 0)
+                state, info = self._advance(state, *prev, *cur, 0)
             except SolverError as exc:
                 if checkpoint is not None:
                     self._save_checkpoint(checkpoint, state)
@@ -608,4 +582,5 @@ class ContactSolver:
                 self._save_checkpoint(checkpoint, state)
             if progress is not None:
                 progress(step, state, info)
+            prev = cur
         return History(records)

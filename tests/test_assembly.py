@@ -242,8 +242,8 @@ def test_stab_matrix_two_element_oracle():
     mesh = _two_block_mesh(ny=2, nz=1)
     assert mesh.interfaces.count == 2
     young = np.full(mesh.n_cells, MAT.young)
-    s = stab_matrix(mesh, young, beta=1.0).toarray()
-    w = 1.0 * 1.0 / MAT.young  # beta * edge length / harmonic-mean stiffness
+    s = stab_matrix(mesh, young).toarray()
+    w = 1.0 / MAT.young  # edge length / harmonic-mean stiffness
     np.testing.assert_allclose(s, [[w, -w], [-w, w]], rtol=1e-12)
 
 
@@ -257,7 +257,7 @@ def test_stab_matrix_heterogeneous_harmonic_mean():
     )
     mesh = build_structured_domain(spec)
     young = np.array([[MAT.young, SOFT.young][r] for r in mesh.regions])
-    s = stab_matrix(mesh, young, beta=1.0).toarray()
+    s = stab_matrix(mesh, young).toarray()
     h_mean = 4.0 / (2.0 / MAT.young + 2.0 / SOFT.young)
     np.testing.assert_allclose(s[0, 1], -1.0 / h_mean, rtol=1e-12)
 

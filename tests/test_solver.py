@@ -14,7 +14,7 @@ from faultmech.constitutive import ElasticMaterial, FrictionLaw, tau_max
 from faultmech.contact import OPEN, SLIP, STICK, kkt_report
 from faultmech.mesh import AxisSegment, DomainSpec, FaultSpec, build_structured_domain
 from faultmech.pressure import PressureField
-from faultmech.solver import ContactSolver, SolverConfig, SolverError, StepState
+from faultmech.solver import ContactSolver, SolverError, StepState
 
 MAT = ElasticMaterial("rock", 2400.0, 10.0e9, 0.25)
 STRONG = FrictionLaw("constant", 0.6, 0.6, 1.0, 2.0e6)
@@ -263,21 +263,24 @@ def test_newton_quadratic_tail():
     assert norms[-1] <= 1e-2 * norms[-2] or norms[-1] == 0.0
 
 
-def _sweep_and_jump_paths(mesh, law, cell_dp):
+def _sweep_and_jump_paths(monkeypatch, mesh, law, cell_dp):
     """One step from the initial state along the plain sweep path, and with
     the snap-event jump search forced after a single sweep."""
     out = []
-    for cfg, jump_ok in ((SolverConfig(), False), (SolverConfig(activeset_max=1), True)):
-        solver = ContactSolver(mesh, [MAT], law, _uniform_t0(mesh), config=cfg)
-        out.append(solver.solve_step(solver.initial_state(), cell_dp,
-                                     np.zeros(mesh.interfaces.count), jump_ok=jump_ok))
+    for activeset_max, jump_ok in ((solver_module.ACTIVESET_MAX, False), (1, True)):
+        solver = ContactSolver(mesh, [MAT], law, _uniform_t0(mesh))
+        with monkeypatch.context() as mp:
+            mp.setattr(solver_module, "ACTIVESET_MAX", activeset_max)
+            out.append(solver.solve_step(solver.initial_state(), cell_dp,
+                                         np.zeros(mesh.interfaces.count), jump_ok=jump_ok))
     return out
 
 
-def test_jump_search_lands_on_the_sweep_answer():
+def test_jump_search_lands_on_the_sweep_answer(monkeypatch):
     mesh = _mesh_two_columns(nz=4)
     left = mesh.cell_centroids()[:, 0] < 1.0
-    (swept, _), (jumped, info) = _sweep_and_jump_paths(mesh, WEAK, np.where(left, -4.0e6, 0.0))
+    (swept, _), (jumped, info) = _sweep_and_jump_paths(monkeypatch, mesh, WEAK,
+                                                       np.where(left, -4.0e6, 0.0))
     assert info.jump_events == 1
     assert np.any(swept.status == SLIP)
     np.testing.assert_array_equal(jumped.status, swept.status)
@@ -289,11 +292,12 @@ def test_jump_search_lands_on_the_sweep_answer():
     "ROADMAP item 1: the stabilized interface operator W - L is indefinite, so "
     "the sweep path slips all three elements and the jump search slips one, "
     "and both states are KKT-clean"))
-def test_sweep_and_jump_paths_agree_at_slip_onset():
+def test_sweep_and_jump_paths_agree_at_slip_onset(monkeypatch):
     mesh = _mesh_two_columns(nz=3)
     law = FrictionLaw("constant", 0.3, 0.3, 1.0, 1.0e3)
     left = mesh.cell_centroids()[:, 0] < 1.0
-    (swept, _), (jumped, _) = _sweep_and_jump_paths(mesh, law, np.where(left, -2.0e6, 0.0))
+    (swept, _), (jumped, _) = _sweep_and_jump_paths(monkeypatch, mesh, law,
+                                                    np.where(left, -2.0e6, 0.0))
     np.testing.assert_array_equal(jumped.status, swept.status)
     np.testing.assert_allclose(jumped.slip_acc, swept.slip_acc, rtol=1e-8)
 
@@ -371,10 +375,10 @@ def test_pressure_load_operator_is_built_once(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(solver_module, "divergence_forces", counting)
+    monkeypatch.setattr(solver_module, "ACTIVESET_MAX", 1)
     mesh = _mesh_two_columns(nz=3)
     left = mesh.cell_centroids()[:, 0] < 1.0
-    solver = ContactSolver(mesh, [MAT], WEAK, _uniform_t0(mesh),
-                           config=SolverConfig(activeset_max=1))
+    solver = ContactSolver(mesh, [MAT], WEAK, _uniform_t0(mesh))
     assert len(calls) == 1
     final = solver.march(StepsPressure(mesh, [np.where(left, -4.0e6, 0.0)])).final
     # an unbisected step under activeset_max=1 converges in one Newton pass
@@ -422,22 +426,68 @@ def test_checkpoint_from_another_model_is_rejected(tmp_path):
         ContactSolver(mesh, [MAT], STRONG, _uniform_t0(mesh)).load_checkpoint(str(ck))
 
 
-def test_failure_mentions_step_and_writes_checkpoint(tmp_path):
+def test_failure_mentions_step_and_writes_checkpoint(tmp_path, monkeypatch):
     mesh = _mesh_two_columns(nz=3)
     left = mesh.cell_centroids()[:, 0] < 1.0
     series = [np.where(left, -2.0e6, 0.0), np.where(left, -4.0e6, 0.0)]
-    cfg = SolverConfig(newton_max=0)  # guaranteed nonconvergence on a loaded step
-    solver = ContactSolver(mesh, [MAT], WEAK, _uniform_t0(mesh), config=cfg)
+    monkeypatch.setattr(solver_module, "NEWTON_MAX", 0)  # nonconvergence on a loaded step
+    solver = ContactSolver(mesh, [MAT], WEAK, _uniform_t0(mesh))
     ck = tmp_path / "fail.npz"
     with pytest.raises(SolverError, match=r"step"):
         solver.march(StepsPressure(mesh, series), checkpoint=str(ck))
     assert ck.exists()  # last good state saved for restart
 
 
-def test_solver_config_defaults():
-    cfg = SolverConfig()
-    assert cfg.newton_max == 25
-    assert cfg.activeset_max == 20
-    assert cfg.linear_tol == 1e-10
-    assert cfg.backtrack_factor == 0.5
-    assert cfg.backtrack_max == 8
+
+def test_checkpoint_path_without_suffix_round_trips(tmp_path):
+    mesh = _mesh_two_columns(nz=3)
+    left = mesh.cell_centroids()[:, 0] < 1.0
+    pressure = StepsPressure(mesh, [np.where(left, f * -2.0e6, 0.0) for f in (1.0, 2.0)])
+    ck = tmp_path / "run.ckpt"
+    solver = ContactSolver(mesh, [MAT], WEAK, _uniform_t0(mesh))
+    final = solver.march(pressure, checkpoint=ck).final
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ckpt"]
+    loaded = solver.load_checkpoint(ck)
+    assert loaded.step == 2 and loaded.info == final.info
+    for f in fields(StepState):
+        if f.name not in ("step", "time", "info"):
+            assert np.array_equal(getattr(loaded, f.name), getattr(final, f.name)), f.name
+
+
+class CountingPressure(StepsPressure):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = 0
+
+    def field_at(self, step):
+        self.calls += 1
+        return super().field_at(step)
+
+
+def test_march_reads_each_pressure_field_once():
+    mesh = _mesh_two_columns(nz=3)
+    left = mesh.cell_centroids()[:, 0] < 1.0
+    pressure = CountingPressure(mesh, [np.where(left, f * -2.0e6, 0.0)
+                                       for f in (1.0, 2.0, 3.0, 4.0)])
+    solver = ContactSolver(mesh, [MAT], WEAK, _uniform_t0(mesh))
+    full = solver.march(pressure)
+    assert pressure.calls == pressure.n_steps + 1
+    k = 2
+    pressure.calls = 0
+    rest = solver.march(pressure, start_state=full.records[k])
+    assert pressure.calls == pressure.n_steps - k + 1
+    assert [r.step for r in rest.records] == [3, 4]
+    for a, b in zip(rest.records, full.records[k + 1:]):
+        assert np.array_equal(a.u, b.u)
+        assert np.array_equal(a.t_loc, b.t_loc)
+        assert np.array_equal(a.status, b.status)
+        assert np.array_equal(a.slip_acc, b.slip_acc)
+
+
+def test_initial_reference_direction_follows_the_initial_shear():
+    mesh = _mesh_two_columns(nz=4)
+    t0 = _uniform_t0(mesh)
+    t0[1:, 1:] = [[3.0e5, -4.0e5], [0.0, 2.0e5], [-1.0e-3, 0.0]]
+    d_ref = ContactSolver(mesh, [MAT], STRONG, t0).initial_state().d_ref
+    # no initial shear: the first tangent; otherwise t_t / |t_t|
+    np.testing.assert_array_equal(d_ref, [[1.0, 0.0], [0.6, -0.8], [0.0, 1.0], [-1.0, 0.0]])
