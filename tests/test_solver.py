@@ -1,19 +1,23 @@
 """Quasi-static stepping: Newton, active set, linear solve, marching."""
 from __future__ import annotations
 
+import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy import sparse
+from scipy.linalg import LinAlgWarning
 from scipy.sparse.linalg import splu
 
 from faultmech import solver as solver_module
-from faultmech.assembly import divergence_forces, free_dof_mask
+from faultmech.assembly import assemble_system, divergence_forces, free_dof_mask
 from faultmech.constitutive import ElasticMaterial, FrictionLaw, tau_max
 from faultmech.contact import OPEN, SLIP, STICK, kkt_report
 from faultmech.mesh import AxisSegment, DomainSpec, FaultSpec, build_structured_domain
 from faultmech.pressure import PressureField
+from faultmech.scenario import build_conceptual_model
 from faultmech.solver import ContactSolver, SolverError, StepState
 
 MAT = ElasticMaterial("rock", 2400.0, 10.0e9, 0.25)
@@ -261,6 +265,111 @@ def test_newton_quadratic_tail():
     assert len(norms) >= 2
     # superlinear contraction at the end of the sequence
     assert norms[-1] <= 1e-2 * norms[-2] or norms[-1] == 0.0
+
+
+@pytest.fixture(scope="module")
+def r16_model():
+    return build_conceptual_model(resolution=16.0)
+
+
+def _setup_warnings(mesh, materials, law, t0):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ContactSolver(mesh, materials, law, t0)
+    return [(w.category, str(w.message)) for w in caught]
+
+
+def test_singular_interface_operator_is_reported_once_at_setup(r16_model):
+    # one cell in y puts every node on a y-roller, so W - L is singular
+    two = _mesh_two_columns()
+    caught = _setup_warnings(two, [MAT], WEAK, _uniform_t0(two))
+    assert len(caught) == 1 and caught[0][0] is LinAlgWarning
+    assert caught[0][1].startswith("singular interface operator W - L")
+    buried = _buried_fault_mesh()
+    assert _setup_warnings(buried, [MAT], WEAK, _uniform_t0(buried)) == []
+    m = r16_model
+    assert _setup_warnings(m.mesh, m.materials, m.law, m.t0_local) == []
+
+
+def _random_newton_system(solver, law, rng, p_stick, p_slip):
+    """Interface rows at a random partition and iterate of a scenario model."""
+    m = solver.ops.count
+    status = rng.choice([STICK, SLIP, OPEN], size=m, p=[p_stick, p_slip, 1.0 - p_stick - p_slip])
+    t = solver.t0 + rng.normal(scale=1.0e5, size=(m, 3))
+    ang = rng.uniform(0.0, 2.0 * np.pi, m)
+    sys = assemble_system(
+        solver.ops, rng.normal(scale=1.0e-4, size=3 * m), t, status=status,
+        g_t_prev=rng.normal(scale=1.0e-4, size=(m, 2)),
+        slip_acc_prev=rng.uniform(0.0, 2.0 * law.dc, m),
+        d_ref=np.column_stack([np.cos(ang), np.sin(ang)]), law=law, tols=solver.tols,
+    )
+    return status, sys
+
+
+@pytest.mark.parametrize("variant", [1, 2])
+def test_condensed_solve_matches_the_direct_solve(r16_model, variant):
+    model = r16_model
+    law = model.law if variant == 1 else build_conceptual_model(resolution=16.0, variant=2).law
+    solver = ContactSolver(model.mesh, model.materials, law, model.t0_local)
+    m = solver.ops.count
+    w = solver.w_stab
+    rng = np.random.default_rng(variant)
+    seen_r = set()
+    # all stick (r = 0), all slip (r = 2m), all open (r = 3m) and mixtures
+    mixes = [(1.0, 0.0), (0.0, 1.0), (0.0, 0.0)] + [(a, b) for a in (0.3, 0.6, 0.9)
+                                                    for b in (0.05, 0.3, 0.6) if a + b <= 1.0]
+    for p_stick, p_slip in mixes:
+        status, sys = _random_newton_system(solver, law, rng, p_stick, p_slip)
+        seen_r.add(int(2 * np.sum(status == SLIP) + 3 * np.sum(status == OPEN)))
+        a_mat = -(sys.d_block @ w.reshape(m, 3, 3 * m)).reshape(3 * m, 3 * m)
+        a_mat.reshape(m, 3, m, 3)[np.arange(m), :, np.arange(m)] += sys.e_block
+        direct = scipy.linalg.solve(a_mat, -sys.r_t)
+        dt = solver._linear_solve(sys)
+        scale = max(np.linalg.norm(a_mat @ direct), np.linalg.norm(sys.r_t))
+        res = [np.linalg.norm(a_mat @ x + sys.r_t) for x in (dt, direct)]
+        assert max(res) <= solver_module.LINEAR_TOL * scale
+        # the two answers differ by no more than their residuals, plus the
+        # rounding of evaluating them, allow
+        sv = scipy.linalg.svdvals(a_mat)
+        floor = 3 * m * np.finfo(float).eps * sv[0] * np.linalg.norm(direct)
+        assert np.linalg.norm(dt - direct) <= (sum(res) + floor) / sv[-1]
+    assert {0, 2 * m, 3 * m} <= seen_r and len(seen_r) >= 8
+
+
+class _LinalgSpy:
+    """scipy.linalg stand-in that logs the matrix shape of every factoring call."""
+
+    FACTORING = ("solve", "lu_factor", "lu", "cho_factor", "inv", "lstsq", "qr", "svd")
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def __getattr__(self, name):
+        real = getattr(self.inner, name)
+        if name not in self.FACTORING:
+            return real
+
+        def spy(a, *args, **kwargs):
+            self.calls.append((name, np.shape(a)))
+            return real(a, *args, **kwargs)
+        return spy
+
+
+def test_all_stick_march_factors_no_interface_matrix_after_setup(monkeypatch):
+    spy = _LinalgSpy(solver_module.dla)
+    monkeypatch.setattr(solver_module, "dla", spy)
+    mesh = _buried_fault_mesh()
+    n = 3 * mesh.interfaces.count
+    solver = ContactSolver(mesh, [MAT], WEAK, _uniform_t0(mesh))
+    assert spy.calls == [("lu_factor", (n, n))]
+    spy.calls.clear()
+    left = mesh.cell_centroids()[:, 0] < 1.0
+    series = [np.where(left, f * -5.0e6, 0.0) for f in (0.5, 1.0)]
+    hist = solver.march(StepsPressure(mesh, series))
+    assert all(np.all(r.status == STICK) for r in hist.records)
+    assert sum(sum(r.info.newton_iters) for r in hist.records[1:]) >= 2
+    assert [call for call in spy.calls if max(call[1], default=0) >= n] == []
 
 
 def _sweep_and_jump_paths(monkeypatch, mesh, law, cell_dp):
