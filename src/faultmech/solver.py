@@ -268,11 +268,11 @@ class ContactSolver:
         an all-stick iterate is two pairs of triangular solves.
         """
         m = self.ops.count
+        jump = (np.all(sys.d_block == np.eye(3), axis=2)
+                & ~np.any(sys.e_block, axis=2)).ravel()
+        rest = np.flatnonzero(~jump)
         d_rows = sys.d_block.reshape(3 * m, 3)
         e_rows = sys.e_block.reshape(3 * m, 3)
-        jump = (np.all(d_rows == np.tile(np.eye(3), (m, 1)), axis=1)
-                & ~np.any(e_rows, axis=1))
-        rest = np.flatnonzero(~jump)
         # y = Y - D_R (r x 3m), with Y^T = (W - L)^-T E_R^T; the E and D rows
         # of an R row touch only its own element's three columns
         cols = 3 * (rest // 3)[:, None] + np.arange(3)
