@@ -48,7 +48,10 @@ __all__ = [
 ]
 
 _SIGNS = np.array(_HEX_CORNERS, dtype=float) * 2.0 - 1.0  # (8, 3) parent corners
-_CHUNK = 20000  # cells per assembly batch, keeps peak memory bounded
+# cells per assembly batch.  In stiffness_matrix it bounds the element
+# matrices and their scatter positions; divergence_forces still concatenates
+# every batch's entries, so there it bounds only the Gauss-point intermediates
+_CHUNK = 2000
 
 
 def _grad_tables():
@@ -110,22 +113,32 @@ def hex_stiffness(coords, cmat):
 def stiffness_matrix(mesh, materials):
     """Global elastic stiffness and the per-cell Young modulus table.
 
-    materials is a sequence indexed by the mesh region id.
+    materials is a sequence indexed by the mesh region id.  Every node pair
+    that shares a cell owns one 3x3 block of K.  The element matrices are
+    added into those blocks in batches of _CHUNK cells, in cell order.
+    Beyond K itself, held twice during the final conversion to CSR, the
+    workspace is one batch, and the cost is linear in the number of batches.
     """
     cmats = np.stack([stiffness_tensor(m) for m in materials])
     youngs = np.array([m.young for m in materials])
     cell_young = youngs[mesh.regions]
-    ndof = 3 * mesh.n_nodes
-    k = sparse.csr_matrix((ndof, ndof))
+    n = mesh.n_nodes
+    hexes = mesh.hexes.astype(np.int64)
+    keys = np.unique(hexes[:, :, None] * n + hexes[:, None, :])  # pairs a*n + b, sorted
+    blocks = np.zeros((keys.size, 3, 3))
+    comp = np.arange(3)
     for start in range(0, mesh.n_cells, _CHUNK):
         cells = slice(start, min(start + _CHUNK, mesh.n_cells))
-        conn = mesh.hexes[cells]
+        conn = hexes[cells]
         ke = _batch_stiffness(mesh.points[conn], cmats[mesh.regions[cells]])
-        dofs = (3 * conn[:, :, None] + np.arange(3)).reshape(-1, 24)
-        rows = np.repeat(dofs, 24, axis=1).ravel()
-        cols = np.tile(dofs, (1, 24)).ravel()
-        k = k + sparse.coo_matrix((ke.ravel(), (rows, cols)), shape=(ndof, ndof)).tocsr()
-    return k.tocsr(), cell_young
+        slot = np.searchsorted(keys, conn[:, :, None] * n + conn[:, None, :])
+        # entry (3p + i, 3q + j) of a cell lands at (i, j) of block slot[p, q]
+        pos = 9 * slot[:, :, None, :, None] + 3 * comp[:, None, None] + comp
+        np.add.at(blocks.reshape(-1), pos.ravel(), ke.ravel())
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    k = sparse.bsr_matrix((blocks, keys % n, indptr), shape=(3 * n, 3 * n)).tocsr()
+    k.eliminate_zeros()  # the pattern holds every node pair; drop exact cancellations
+    return k, cell_young
 
 
 def divergence_forces(mesh, materials):

@@ -15,7 +15,11 @@ geometric nested-dissection order of the mesh lattice
 (mesh.dissection_order over Mesh.lattice, each node's dofs kept
 together), and SuperLU factors it in that order as given, pivoting on the
 diagonal.  Fill then stays in the separator planes, which cuts both the
-factorization and the back-substitutions that build W.
+factorization and the back-substitutions that build W.  Beyond that factor,
+no set-up workspace grows with the mesh past a fixed block: K is assembled
+in batches of cells (`assembly.stiffness_matrix`), and W is built from
+SCHUR_CHUNK = 64 right-hand-side columns at a time, so its largest
+transient is a few dense n_free x 64 blocks.
 
 Each loading step solves the interface problem alone: an exact Newton
 loop on the tractions with the stick/slip/open partition held fixed, and
@@ -89,7 +93,7 @@ class SolverError(RuntimeError):
 JUMP_MAX_SUPPORT = 6
 
 # right-hand-side columns per sparse solve when building W at set-up
-SCHUR_CHUNK = 256
+SCHUR_CHUNK = 64
 
 # Newton / active-set / linear-solve controls
 NEWTON_MAX = 25
@@ -319,9 +323,17 @@ class ContactSolver:
         )
 
     def _newton(self, t, status, d_ref, state, g0):
+        """Newton on the tractions with the partition held fixed.
+
+        Returns (t, sys, norms, iters).  The start point is assembled with
+        its Jacobian blocks.  Each accepted line-search trial is carried
+        forward as the next iterate, and its blocks are assembled only when
+        another iterate follows, so the returned sys may lack them (d_block
+        and e_block None); callers read only its r_t and dg_slip.
+        """
         norms = []
+        sys = self._assemble(t, status, d_ref, state, g0, True)
         for it in range(NEWTON_MAX + 1):
-            sys = self._assemble(t, status, d_ref, state, g0, True)
             phi = float(np.linalg.norm(sys.r_t))
             norms.append(phi)
             rt_inf = float(np.max(np.abs(sys.r_t), initial=0.0))
@@ -330,6 +342,8 @@ class ContactSolver:
             if it == NEWTON_MAX:
                 raise SolverError(
                     f"Newton stalled after {it} iterations (|r_t|={rt_inf:.3e} m)")
+            if sys.d_block is None:
+                sys = self._assemble(t, status, d_ref, state, g0, True)
             dt = self._linear_solve(sys).reshape(t.shape)
 
             alpha = 1.0
@@ -339,7 +353,7 @@ class ContactSolver:
                 trial = self._assemble(t_try, status, d_ref, state, g0, False)
                 phi_try = float(np.linalg.norm(trial.r_t))
                 if best is None or phi_try < best[0]:
-                    best = (phi_try, t_try)
+                    best = (phi_try, t_try, trial)
                 if phi_try <= (1.0 - 1e-4 * alpha) * phi:
                     break
                 alpha *= BACKTRACK_FACTOR
@@ -348,7 +362,7 @@ class ContactSolver:
                     f"line search failed to reduce the residual "
                     f"(|r_t|={phi:.3e} m, best trial={best[0]:.3e} m, iter={it})"
                 )
-            t = best[1]
+            _, t, sys = best
         raise AssertionError("unreachable")
 
     # ------------------------------------------------------------------

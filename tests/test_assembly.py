@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
+from faultmech import assembly as assembly_module
 from faultmech.assembly import (
     assemble_system,
     divergence_forces,
@@ -132,6 +133,28 @@ def test_global_stiffness_matches_dense_reference():
     kd = k.toarray()
     np.testing.assert_allclose(kd, dense, rtol=1e-10, atol=1e-2)
     np.testing.assert_allclose(kd, kd.T, rtol=1e-12, atol=1e-4)
+
+
+def test_stiffness_batches_match_one_batch(monkeypatch):
+    spec = DomainSpec(
+        x_segments=[AxisSegment(0.0, 1.0, "geometric", 0.25, grow_from="end"),
+                    AxisSegment(1.0, 3.0, "geometric", 0.25, ratio_max=1.4)],
+        y_segments=[AxisSegment(0.0, 2.0, "uniform", 0.5)],
+        z_segments=[AxisSegment(-2.0, 0.0, "uniform", 0.5)],
+        faults=[FaultSpec("F", "x", 1.0, 0.5, 1.5, -1.5, -0.5)],
+        region_fn=lambda c: 0 if c[1] < 1.0 else 1,
+    )
+    mesh = build_structured_domain(spec)
+    assert set(mesh.regions) == {0, 1} and mesh.interfaces.count > 0
+    assert mesh.n_cells % 7 != 0  # a ragged last batch
+    mats = [MAT, SOFT]
+    monkeypatch.setattr(assembly_module, "_CHUNK", mesh.n_cells)
+    one, young_one = stiffness_matrix(mesh, mats)
+    monkeypatch.setattr(assembly_module, "_CHUNK", 7)
+    batched, young = stiffness_matrix(mesh, mats)
+    assert batched.shape == one.shape
+    assert abs(batched - one).max() <= 1e-14 * abs(one).max()
+    np.testing.assert_array_equal(young, young_one)
 
 
 def test_divergence_forces_match_reference_and_balance():

@@ -1,6 +1,7 @@
 """Quasi-static stepping: Newton, active set, linear solve, marching."""
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 from dataclasses import fields
 
@@ -11,6 +12,7 @@ from scipy import sparse
 from scipy.linalg import LinAlgWarning
 from scipy.sparse.linalg import splu
 
+from faultmech import assembly as assembly_module
 from faultmech import solver as solver_module
 from faultmech.assembly import assemble_system, divergence_forces, free_dof_mask
 from faultmech.constitutive import ElasticMaterial, FrictionLaw, tau_max
@@ -370,6 +372,40 @@ def test_all_stick_march_factors_no_interface_matrix_after_setup(monkeypatch):
     assert all(np.all(r.status == STICK) for r in hist.records)
     assert sum(sum(r.info.newton_iters) for r in hist.records[1:]) >= 2
     assert [call for call in spy.calls if max(call[1], default=0) >= n] == []
+
+
+def test_w_built_in_ragged_blocks_matches_one_block(monkeypatch):
+    mesh = _buried_fault_mesh()
+    n_t = 3 * mesh.interfaces.count
+    assert n_t % 5 != 0
+    monkeypatch.setattr(solver_module, "SCHUR_CHUNK", n_t)
+    one = ContactSolver(mesh, [MAT], WEAK, _uniform_t0(mesh)).w_stab
+    monkeypatch.setattr(solver_module, "SCHUR_CHUNK", 5)
+    blocks = ContactSolver(mesh, [MAT], WEAK, _uniform_t0(mesh)).w_stab
+    assert np.abs(blocks - one).max() <= 1e-12 * np.abs(one).max()
+
+
+def test_setup_workspace_is_bounded():
+    """Peak traced allocation while a solver for the r8 scenario is built.
+
+    tracemalloc sees numpy's allocations only, not SuperLU's: the bound
+    covers the stiffness assembly, the K_ff extraction, the W build and
+    the dense LU, but not the sparse factor.  The r8 model has 3,456 cells
+    and 3m = 432.  One COO batch of every cell for K and 256-column W
+    blocks peaked at 94.7 MiB.  2,000-cell batches and 64-column blocks
+    peak at 45.0 MiB; one batch alone gives 52 MiB, 256 columns alone 60.
+    """
+    model = build_conceptual_model(resolution=8.0)
+    mesh = model.mesh
+    assert mesh.n_cells > assembly_module._CHUNK
+    assert 3 * mesh.interfaces.count > solver_module.SCHUR_CHUNK
+    tracemalloc.start()
+    try:
+        ContactSolver(mesh, model.materials, model.law, model.t0_local)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 50 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 def _sweep_and_jump_paths(monkeypatch, mesh, law, cell_dp):
