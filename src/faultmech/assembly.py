@@ -33,7 +33,7 @@ from .constitutive import (
     tau_max,
 )
 from .contact import OPEN, SLIP, STICK, regularized_directions
-from .mesh import _HEX_CORNERS
+from .mesh import _PARENT_CORNERS, _shape_gradients
 
 __all__ = [
     "InterfaceOps",
@@ -47,27 +47,12 @@ __all__ = [
     "stiffness_matrix",
 ]
 
-_SIGNS = np.array(_HEX_CORNERS, dtype=float) * 2.0 - 1.0  # (8, 3) parent corners
 # cells per assembly batch.  In stiffness_matrix it bounds the element
 # matrices and their scatter positions; divergence_forces still concatenates
 # every batch's entries, so there it bounds only the Gauss-point intermediates
 _CHUNK = 2000
-
-
-def _grad_tables():
-    """dN/dxi at the 2x2x2 Gauss points, (8 points, 8 nodes, 3)."""
-    g = 1.0 / np.sqrt(3.0)
-    pts = _SIGNS * g
-    out = np.empty((8, 8, 3))
-    for q, (xi, eta, zeta) in enumerate(pts):
-        sx, sy, sz = _SIGNS[:, 0], _SIGNS[:, 1], _SIGNS[:, 2]
-        out[q, :, 0] = 0.125 * sx * (1 + sy * eta) * (1 + sz * zeta)
-        out[q, :, 1] = 0.125 * sy * (1 + sx * xi) * (1 + sz * zeta)
-        out[q, :, 2] = 0.125 * sz * (1 + sx * xi) * (1 + sy * eta)
-    return out
-
-
-_GRADS = _grad_tables()
+# dN/dxi at the 2x2x2 Gauss points, (8 points, 8 nodes, 3)
+_GRADS = _shape_gradients(_PARENT_CORNERS / np.sqrt(3.0))
 
 
 def _batch_gauss(xyz, grad):

@@ -14,6 +14,19 @@ import numpy as np
 
 from .constitutive import FrictionLaw, tau_max
 
+__all__ = [
+    "DIRECTION_EPS",
+    "OPEN",
+    "SLIP",
+    "STATUS_NAMES",
+    "STICK",
+    "ContactTols",
+    "KKTReport",
+    "classify_all",
+    "kkt_report",
+    "regularized_directions",
+]
+
 STICK = 0
 SLIP = 1
 OPEN = 2

@@ -1,12 +1,36 @@
 """Structured hexahedral meshes with conformal, node-split fault surfaces.
 
-The generator builds a logically structured lattice, shears whole node
-columns so dipping surfaces stay exact cell-face unions, duplicates nodes
-across each fault surface, and emits quadrilateral interface elements that
-carry the local traction frame used by the contact formulation.
+`build_structured_domain` builds a logically structured (i, j, k) lattice,
+shears whole node columns so dipping surfaces stay exact cell-face unions,
+splits nodes across each fault surface, and emits one quadrilateral
+interface facet per fault face, carrying the local traction frame used by
+the contact formulation.  Each step is index arithmetic on the lattice, one
+array pass per fault:
+
+- Nodes and cells are numbered i fastest, then j, then k.  A cell's eight
+  corners are the ``_HEX_CORNERS`` offsets of its own (i, j, k).
+- Split rule.  A fault lies in one lattice plane and covers the faces
+  [u0, u1) x [k0, k1), with u the lateral index (j for an x fault, i for a
+  y fault) and k the layer.  Its lattice corner (u, k) splits when u > u0
+  or u == 0, and u < u1 or u == n_u, and the same holds in k against nz:
+  every in-domain face of the plane that touches the corner is a fault
+  face.  Tip and junction corners stay shared; a fault edge on the
+  domain's outer face splits.
+- At a split corner, the cells that share one node id and lie on both
+  sides of the plane give their plus-side cells one new node.  A node an
+  earlier fault split is split again per group, so two crossing faults
+  leave four copies on their junction line.  New nodes copy the
+  coordinates and lattice indices of the node they came from.
+- Facets are read from the final connectivity.  Facet (u, k) of a fault
+  has index base + (u - u0)(k1 - k0) + (k - k0); its edges join it to its
+  u- and k-neighbours.
+
+Solver checkpoints fingerprint these arrays, so the numbering must not move
+by accident: tests/test_mesh.py pins a digest of it.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,19 +188,32 @@ def build_axis(segments):
     return np.asarray(pts)
 
 
+def _dot(a, b):
+    """Dot products of stacked 3-vectors over the last axis.
+
+    Each product is one vector-vector matmul, which rounds exactly like
+    ``a @ b`` and ``np.linalg.norm`` on a single vector (an ``einsum`` or a
+    sum over an axis does not)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _norm(v):
+    return np.sqrt(_dot(v, v))
+
+
 def local_frame(normal):
     """Orthonormal right-handed frame (n, m1, m2) with m2 the in-plane
-    direction of steepest ascent (up-dip) and m1 = m2 x n horizontal."""
+    direction of steepest ascent (up-dip) and m1 = m2 x n horizontal.
+
+    ``normal`` is one vector (3,) or a stack (..., 3); each of n, m1, m2
+    has its shape."""
     n = np.asarray(normal, dtype=float)
-    n = n / np.linalg.norm(n)
-    ez = np.array([0.0, 0.0, 1.0])
-    m2 = ez - (n @ ez) * n
-    nrm = np.linalg.norm(m2)
-    if nrm < 1e-12:
-        # horizontal surface: fall back to the x axis for m2
-        m2 = np.array([1.0, 0.0, 0.0]) - n[0] * n
-        nrm = np.linalg.norm(m2)
-    m2 = m2 / nrm
+    n = n / _norm(n)[..., None]
+    m2 = np.array([0.0, 0.0, 1.0]) - n[..., 2:] * n
+    # horizontal surface: fall back to the x axis for m2
+    flat = _norm(m2)[..., None] < 1e-12
+    m2 = np.where(flat, np.array([1.0, 0.0, 0.0]) - n[..., :1] * n, m2)
+    m2 = m2 / _norm(m2)[..., None]
     m1 = np.cross(m2, n)
     return n, m1, m2
 
@@ -226,14 +263,29 @@ _HEX_CORNERS = (
     (1, 1, 1),
     (0, 1, 1),
 )
-# local corner ids of the +x / -x / +y / -y faces, both listed in the same
-# lattice-corner order so twin nodes pair up index by index
-_FACE_X_PLUS = (1, 2, 6, 5)
-_FACE_X_MINUS = (0, 3, 7, 4)
-_FACE_Y_PLUS = (3, 2, 6, 7)
-_FACE_Y_MINUS = (0, 1, 5, 4)
+_PARENT_CORNERS = np.array(_HEX_CORNERS, dtype=float) * 2.0 - 1.0  # in [-1, 1]^3
+_CORNER_ID = np.empty((2, 2, 2), dtype=np.int64)  # local corner id of offset (di, dj, dk)
+_CORNER_ID[tuple(np.transpose(_HEX_CORNERS))] = np.arange(8)
+# local corner ids of the face on the fault plane of the cell on its minus
+# side, then of the cell on its plus side, for x and y faults; both list the
+# same lattice corners in the same order, so twin nodes pair up index by index
+_FAULT_FACES = {"x": ((1, 2, 6, 5), (0, 3, 7, 4)), "y": ((3, 2, 6, 7), (0, 1, 5, 4))}
 
 _GP_1D = (-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0))
+
+
+def _shape_gradients(parent):
+    """dN/dxi of the trilinear hex at parent points (q, 3): (q, 8 nodes, 3)."""
+    xi, eta, zeta = np.asarray(parent, dtype=float).T[:, :, None]
+    sx, sy, sz = _PARENT_CORNERS.T
+    return np.stack(
+        [
+            0.125 * sx * (1 + sy * eta) * (1 + sz * zeta),
+            0.125 * sy * (1 + sx * xi) * (1 + sz * zeta),
+            0.125 * sz * (1 + sx * xi) * (1 + sy * eta),
+        ],
+        axis=-1,
+    )
 
 
 @dataclass
@@ -278,19 +330,11 @@ class Mesh:
 
 def _check_jacobians(points, hexes):
     """Minimum trilinear Jacobian determinant over all cells and corners."""
-    corners = np.array(_HEX_CORNERS, dtype=float) * 2.0 - 1.0  # to [-1, 1]^3
-    worst = np.inf
     xyz = points[hexes]  # (nc, 8, 3)
-    for xi, eta, zeta in corners:
-        dn = np.empty((8, 3))
-        for a, (ca, cb, cc) in enumerate(_HEX_CORNERS):
-            sa, sb, sc = ca * 2 - 1, cb * 2 - 1, cc * 2 - 1
-            dn[a, 0] = 0.125 * sa * (1 + sb * eta) * (1 + sc * zeta)
-            dn[a, 1] = 0.125 * sb * (1 + sa * xi) * (1 + sc * zeta)
-            dn[a, 2] = 0.125 * sc * (1 + sa * xi) * (1 + sb * eta)
-        jac = np.einsum("cai,aj->cij", xyz, dn)
-        worst = min(worst, float(np.linalg.det(jac).min()))
-    return worst
+    return min(
+        float(np.linalg.det(np.einsum("cai,aj->cij", xyz, dn)).min())
+        for dn in _shape_gradients(_PARENT_CORNERS)
+    )
 
 
 def _shear_coefficients(xs, faults):
@@ -400,201 +444,109 @@ def build_structured_domain(spec: DomainSpec) -> Mesh:
     ijk = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1), np.arange(nz + 1), indexing="ij")
     lattice = np.stack(ijk, axis=-1).transpose(2, 1, 0, 3).reshape(-1, 3)
 
-    def nid(i, j, k):
-        return (k * (ny + 1) + j) * (nx + 1) + i
+    ids = np.arange(points.shape[0], dtype=np.int64).reshape(nz + 1, ny + 1, nx + 1)
+    # cell id layout: i fastest, then j, then k
+    hexes = np.stack(
+        [ids[dk:dk + nz, dj:dj + ny, di:di + nx].ravel() for di, dj, dk in _HEX_CORNERS],
+        axis=1,
+    )
 
-    def cid(i, j, k):
+    def cell_id(f, a, u, k):
+        """Cell at plane index a, lateral index u and layer k of fault f."""
+        i, j = (a, u) if f.axis == "x" else (u, a)
         return (k * ny + j) * nx + i
 
-    hexes = np.empty((nx * ny * nz, 8), dtype=np.int64)
-    for k in range(nz):
-        for j in range(ny):
-            base = nid(0, j, k)
-            row = np.arange(nx)
-            c0 = base + row
-            cells = cid(0, j, k) + row
-            for a, (di, dj, dk) in enumerate(_HEX_CORNERS):
-                hexes[cells, a] = nid(di, j + dj, k + dk) + row
-
-    # resolve each fault onto lattice index ranges
+    # resolve each fault onto its lattice plane p and its faces [u0, u1) x [k0, k1)
     resolved = []
     for f in spec.faults:
-        if f.axis == "x":
-            ip = _find_index(xs, f.position, f"fault {f.name}: x position")
-            if ip == 0 or ip == nx:
-                raise MeshError(f"fault {f.name} lies on the domain boundary")
-            j0 = _find_index(ys, f.lateral_min, f"fault {f.name}: lateral_min")
-            j1 = _find_index(ys, f.lateral_max, f"fault {f.name}: lateral_max")
-            k0 = _find_index(zs, f.z_min, f"fault {f.name}: z_min")
-            k1 = _find_index(zs, f.z_max, f"fault {f.name}: z_max")
-            resolved.append((f, ip, j0, j1, k0, k1))
-        else:
-            jp = _find_index(ys, f.position, f"fault {f.name}: y position")
-            if jp == 0 or jp == ny:
-                raise MeshError(f"fault {f.name} lies on the domain boundary")
-            i0 = _find_index(xs, f.lateral_min, f"fault {f.name}: lateral_min")
-            i1 = _find_index(xs, f.lateral_max, f"fault {f.name}: lateral_max")
-            k0 = _find_index(zs, f.z_min, f"fault {f.name}: z_min")
-            k1 = _find_index(zs, f.z_max, f"fault {f.name}: z_max")
-            resolved.append((f, jp, i0, i1, k0, k1))
+        plane, lateral = (xs, ys) if f.axis == "x" else (ys, xs)
+        p = _find_index(plane, f.position, f"fault {f.name}: {f.axis} position")
+        if p == 0 or p == plane.size - 1:
+            raise MeshError(f"fault {f.name} lies on the domain boundary")
+        u0 = _find_index(lateral, f.lateral_min, f"fault {f.name}: lateral_min")
+        u1 = _find_index(lateral, f.lateral_max, f"fault {f.name}: lateral_max")
+        k0 = _find_index(zs, f.z_min, f"fault {f.name}: z_min")
+        k1 = _find_index(zs, f.z_max, f"fault {f.name}: z_max")
+        resolved.append((f, p, u0, u1, k0, k1, lateral.size - 1))
 
-    # split nodes, one fault at a time; a lattice node is duplicated exactly
-    # when every in-domain face of its lattice plane that touches it belongs
-    # to the fault, which keeps tip and junction nodes shared
-    extra_points, extra_lattice = [], []
-    next_id = points.shape[0]
-    corner_lookup = {c: a for a, c in enumerate(_HEX_CORNERS)}
-    for f, p, u0, u1, k0, k1 in resolved:
-        faces = {(u, k) for u in range(u0, u1) for k in range(k0, k1)}
-        for u in range(u0, u1 + 1):
-            for k in range(k0, k1 + 1):
-                incident = [
-                    (uu, kk)
-                    for uu in (u - 1, u)
-                    for kk in (k - 1, k)
-                    if 0 <= uu < (ny if f.axis == "x" else nx) and 0 <= kk < nz
-                ]
-                if not incident or not all(fc in faces for fc in incident):
-                    continue
-                # cells touching this lattice corner, keyed by the node id
-                # they currently reference (an earlier fault may have split it)
-                touching = []
-                for uu, kk in incident:
-                    for side in (0, 1):
-                        if f.axis == "x":
-                            ii, jj = p - 1 + side, uu
-                        else:
-                            ii, jj = uu, p - 1 + side
-                        if not (0 <= ii < nx and 0 <= jj < ny):
-                            continue
-                        if f.axis == "x":
-                            corner = (p - ii, u - jj, k - kk)
-                        else:
-                            corner = (u - ii, p - jj, k - kk)
-                        local = corner_lookup[corner]
-                        touching.append((cid(ii, jj, kk), local, side))
-                groups = {}
-                for cell, local, side in touching:
-                    groups.setdefault(int(hexes[cell, local]), []).append((cell, local, side))
-                for old_id, members in groups.items():
-                    plus = [(c, l) for c, l, s in members if s == 1]
-                    minus = [(c, l) for c, l, s in members if s == 0]
-                    if not plus or not minus:
-                        continue  # one-sided group (already cut by another fault)
-                    if old_id < points.shape[0]:
-                        coords, where = points[old_id], lattice[old_id]
-                    else:
-                        coords = extra_points[old_id - points.shape[0]]
-                        where = extra_lattice[old_id - points.shape[0]]
-                    extra_points.append(coords)
-                    extra_lattice.append(where)
-                    for c, l in plus:
-                        hexes[c, l] = next_id
-                    next_id += 1
-    if extra_points:
-        points = np.vstack([points, np.array(extra_points)])
-        lattice = np.vstack([lattice, np.array(extra_lattice)])
+    # split nodes, one fault at a time (see the module docstring for the
+    # rule).  A split corner's (face, side) entries run over the faces
+    # (u-1, k-1), (u-1, k), (u, k-1), (u, k), side 0 before side 1
+    du, dk, side = (a.ravel() for a in np.meshgrid([1, 0], [1, 0], [0, 1], indexing="ij"))
+    for f, p, u0, u1, k0, k1, n_u in resolved:
+        u, k = np.arange(u0, u1 + 1), np.arange(k0, k1 + 1)
+        u = u[((u > u0) | (u == 0)) & ((u < u1) | (u == n_u))]
+        k = k[((k > k0) | (k == 0)) & ((k < k1) | (k == nz))]
+        cu, ck = (a.ravel()[:, None] for a in np.meshgrid(u, k, indexing="ij"))
+        fu, fk = cu - du, ck - dk  # (corners, 8) incident faces
+        inside = (fu >= 0) & (fu < n_u) & (fk >= 0) & (fk < nz)
+        cells = cell_id(f, p - 1 + side, fu, fk)[inside]
+        di, dj = (1 - side, du) if f.axis == "x" else (du, 1 - side)
+        local = np.broadcast_to(_CORNER_ID[di, dj, dk], inside.shape)[inside]
+        plus = np.broadcast_to(side == 1, inside.shape)[inside]
+        # a node id sits at one lattice corner, so the entries sharing an id
+        # are one group of that corner.  A group with cells on both sides
+        # gets one new node, in order of first appearance, and its plus-side
+        # cells take it; the new rows copy the source row (a twin or not)
+        src, first, group = np.unique(hexes[cells, local], return_index=True, return_inverse=True)
+        n_plus = np.bincount(group, plus, src.size)
+        cut = (n_plus > 0) & (n_plus < np.bincount(group, minlength=src.size))
+        order = np.flatnonzero(cut)[np.argsort(first[cut])]
+        new = np.empty(src.size, dtype=np.int64)
+        new[order] = points.shape[0] + np.arange(order.size)
+        moved = plus & cut[group]
+        hexes[cells[moved], local[moved]] = new[group[moved]]
+        points = np.vstack([points, points[src[order]]])
+        lattice = np.vstack([lattice, lattice[src[order]]])
 
-    # interface elements, read from the final (post-split) connectivity
-    fault_names = [f.name for f, *_ in resolved]
-    fids, tops, bots, ctop, cbot = [], [], [], [], []
-    frames, areas, cents, weights = [], [], [], []
-    edge_pairs, edge_lens = [], []
-    index_of = {}
-    for fidx, (f, p, u0, u1, k0, k1) in enumerate(resolved):
-        axis_vec = np.array([1.0, 0.0, 0.0]) if f.axis == "x" else np.array([0.0, 1.0, 0.0])
-        for u in range(u0, u1):
-            for k in range(k0, k1):
-                if f.axis == "x":
-                    cell_m, cell_p = cid(p - 1, u, k), cid(p, u, k)
-                    loc_m, loc_p = _FACE_X_PLUS, _FACE_X_MINUS
-                else:
-                    cell_m, cell_p = cid(u, p - 1, k), cid(u, p, k)
-                    loc_m, loc_p = _FACE_Y_PLUS, _FACE_Y_MINUS
-                nm = hexes[cell_m, list(loc_m)]
-                npl = hexes[cell_p, list(loc_p)]
-                quad = points[nm]
-                n_raw = np.cross(quad[2] - quad[0], quad[3] - quad[1])
-                n_hat = n_raw / np.linalg.norm(n_raw)
-                if abs(n_hat[2]) > 1e-9:
-                    if n_hat[2] < 0.0:
-                        n_hat = -n_hat
-                elif n_hat @ axis_vec < 0.0:
-                    n_hat = -n_hat
-                n_hat, m1, m2 = local_frame(n_hat)
-                centroid = quad.mean(axis=0)
-                if (points[hexes[cell_p]].mean(axis=0) - centroid) @ n_hat > 0.0:
-                    top_cell, bot_cell = cell_p, cell_m
-                    top_n, bot_n = npl, nm
-                else:
-                    top_cell, bot_cell = cell_m, cell_p
-                    top_n, bot_n = nm, npl
-                # 2x2 Gauss lumped weights w_a = integral of N_a dA
-                w = np.zeros(4)
-                area = 0.0
-                for gx in _GP_1D:
-                    for gy in _GP_1D:
-                        N = 0.25 * np.array(
-                            [
-                                (1 - gx) * (1 - gy),
-                                (1 + gx) * (1 - gy),
-                                (1 + gx) * (1 + gy),
-                                (1 - gx) * (1 + gy),
-                            ]
-                        )
-                        dxi = quad.T @ (
-                            0.25
-                            * np.array([-(1 - gy), (1 - gy), (1 + gy), -(1 + gy)])
-                        )
-                        deta = quad.T @ (
-                            0.25
-                            * np.array([-(1 - gx), -(1 + gx), (1 + gx), (1 - gx)])
-                        )
-                        da = np.linalg.norm(np.cross(dxi, deta))
-                        w += N * da
-                        area += da
-                warp = max(abs((quad[a] - quad[0]) @ n_hat) for a in (1, 2, 3))
-                if warp > 1e-9 * max(1.0, float(np.abs(quad).max())):
-                    raise MeshError(f"fault {f.name}: non-planar interface facet")
-                index_of[(fidx, u, k)] = len(fids)
-                fids.append(fidx)
-                tops.append(top_n)
-                bots.append(bot_n)
-                ctop.append(top_cell)
-                cbot.append(bot_cell)
-                frames.append(np.column_stack([n_hat, m1, m2]))
-                areas.append(area)
-                cents.append(centroid)
-                weights.append(w)
-        # in-surface adjacency with shared-edge lengths
-        for u in range(u0, u1):
-            for k in range(k0, k1):
-                me = index_of[(fidx, u, k)]
-                if (fidx, u + 1, k) in index_of:
-                    other = index_of[(fidx, u + 1, k)]
-                    a, b = bots[me][1], bots[me][2]
-                    edge_pairs.append((me, other))
-                    edge_lens.append(float(np.linalg.norm(points[a] - points[b])))
-                if (fidx, u, k + 1) in index_of:
-                    other = index_of[(fidx, u, k + 1)]
-                    a, b = bots[me][3], bots[me][2]
-                    edge_pairs.append((me, other))
-                    edge_lens.append(float(np.linalg.norm(points[a] - points[b])))
-
-    iface = InterfaceSet(
-        fault_names=fault_names,
-        fault_ids=np.asarray(fids, dtype=np.int64),
-        top_nodes=np.asarray(tops, dtype=np.int64).reshape(-1, 4),
-        bottom_nodes=np.asarray(bots, dtype=np.int64).reshape(-1, 4),
-        cell_top=np.asarray(ctop, dtype=np.int64),
-        cell_bottom=np.asarray(cbot, dtype=np.int64),
-        frames=np.asarray(frames).reshape(-1, 3, 3),
-        areas=np.asarray(areas),
-        centroids=np.asarray(cents).reshape(-1, 3),
-        node_weights=np.asarray(weights).reshape(-1, 4),
-        edges=np.asarray(edge_pairs, dtype=np.int64).reshape(-1, 2),
-        edge_lengths=np.asarray(edge_lens),
-    )
+    # interface facets, one fault at a time, read from the final (post-split)
+    # connectivity.  Facet (u, k) has index base + (u - u0)(k1 - k0) + (k - k0),
+    # so its u-neighbour lies k1 - k0 further on and its k-neighbour one
+    # further; each facet lists its u-edge, then its k-edge
+    parts = [(np.zeros(0, np.int64), np.zeros((0, 4), np.int64), np.zeros((0, 4), np.int64),
+              np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((0, 3, 3)), np.zeros(0),
+              np.zeros((0, 3)), np.zeros((0, 4)), np.zeros((0, 2), np.int64), np.zeros(0))]
+    base = 0
+    for fidx, (f, p, u0, u1, k0, k1, _) in enumerate(resolved):
+        u, k = (a.ravel() for a in np.meshgrid(np.arange(u0, u1), np.arange(k0, k1), indexing="ij"))
+        cell_m, cell_p = cell_id(f, p - 1, u, k), cell_id(f, p, u, k)
+        face_m, face_p = _FAULT_FACES[f.axis]
+        node_m, node_p = hexes[cell_m][:, face_m], hexes[cell_p][:, face_p]
+        quad = points[node_m]  # (nf, 4, 3)
+        n_hat = np.cross(quad[:, 2] - quad[:, 0], quad[:, 3] - quad[:, 1])
+        n_hat = n_hat / _norm(n_hat)[:, None]
+        # normals point up, or along the fault's axis on vertical facets
+        tilted = np.abs(n_hat[:, 2]) > 1e-9
+        down = np.where(tilted, n_hat[:, 2], n_hat[:, "xy".index(f.axis)]) < 0.0
+        n_hat, m1, m2 = local_frame(np.where(down[:, None], -n_hat, n_hat))
+        centroid = quad.mean(axis=1)
+        # the top cell is the one the normal points into
+        up = _dot(points[hexes[cell_p]].mean(axis=1) - centroid, n_hat) > 0.0
+        warp = np.abs(_dot(quad[:, 1:] - quad[:, :1], n_hat[:, None])).max(axis=1)
+        if np.any(warp > 1e-9 * np.maximum(1.0, np.abs(quad).max(axis=(1, 2)))):
+            raise MeshError(f"fault {f.name}: non-planar interface facet")
+        # 2x2 Gauss lumped weights w_a = integral of N_a dA
+        weights, area = np.zeros((u.size, 4)), np.zeros(u.size)
+        for gx, gy in itertools.product(_GP_1D, _GP_1D):
+            dxi = 0.25 * np.array([-(1 - gy), (1 - gy), (1 + gy), -(1 + gy)]) @ quad
+            deta = 0.25 * np.array([-(1 - gx), -(1 + gx), (1 + gx), (1 - gx)]) @ quad
+            da = _norm(np.cross(dxi, deta))
+            weights += 0.25 * np.array(
+                [(1 - gx) * (1 - gy), (1 + gx) * (1 - gy), (1 + gx) * (1 + gy), (1 - gx) * (1 + gy)]
+            ) * da[:, None]
+            area += da
+        bottom = np.where(up[:, None], node_m, node_p)
+        has = np.stack([u + 1 < u1, k + 1 < k1], axis=1)  # (nf, 2): u- and k-neighbour
+        me = np.broadcast_to(base + np.arange(u.size)[:, None], has.shape)
+        lengths = _norm(points[bottom[:, [1, 3]][has]] - points[bottom[:, [2, 2]][has]])
+        parts.append((
+            np.full(u.size, fidx), np.where(up[:, None], node_p, node_m), bottom,
+            np.where(up, cell_p, cell_m), np.where(up, cell_m, cell_p),
+            np.stack([n_hat, m1, m2], axis=-1), area, centroid, weights,
+            np.stack([me, me + [k1 - k0, 1]], axis=-1)[has], lengths,
+        ))
+        base += u.size
+    iface = InterfaceSet([f.name for f, *_ in resolved], *map(np.concatenate, zip(*parts)))
 
     centroids = points[hexes].mean(axis=1)
     if spec.region_fn is None:

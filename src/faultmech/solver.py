@@ -191,7 +191,7 @@ class ContactSolver:
         self.t0 = np.asarray(t0_loc, dtype=float).reshape(-1, 3)
         self.fingerprint = _fingerprint(mesh, self.materials, law, self.t0)
 
-        self.k_csr, cell_young = stiffness_matrix(mesh, self.materials)
+        k, cell_young = stiffness_matrix(mesh, self.materials)
         self.ops = interface_blocks(mesh)
         if self.ops.count != self.t0.shape[0]:
             raise ValueError("initial traction rows do not match interface count")
@@ -202,10 +202,12 @@ class ContactSolver:
         dofs = (3 * nodes[:, None] + np.arange(3)).ravel()
         # a permutation, not sorted: the free dofs in nested-dissection node order
         self.free_idx = dofs[free[dofs]]
+        k_ff = k[self.free_idx][:, self.free_idx].tocsc()
+        del k  # only the factor of K_ff is kept
         # K_ff is SPD: factor in that order as given, pivoting on the diagonal
-        self.lu = splu(self.k_csr[self.free_idx][:, self.free_idx].tocsc(),
-                       permc_spec="NATURAL", diag_pivot_thresh=0.0,
+        self.lu = splu(k_ff, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
+        del k_ff
         self.div_ff = divergence_forces(mesh, self.materials)[self.free_idx]
         self.c_ff = self.ops.coupling_csr[self.free_idx].tocsc()
         self.j_ff = self.ops.jump_csr[:, self.free_idx].tocsr()

@@ -1,6 +1,7 @@
 """Mesh construction checks: grading, fault splitting, frames, conformity."""
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from faultmech.mesh import (
     geometric_sizes,
     local_frame,
 )
+from faultmech.scenario import build_conceptual_model
 
 
 def _box_spec(nx=2, ny=1, nz=1, lx=2.0, ly=1.0, lz=1.0, faults=()):
@@ -191,6 +193,39 @@ def test_t_intersection_twin_counts():
     assert np.all(top[~on_junction] != bot[~on_junction])
 
 
+def test_fault_edge_on_a_domain_face_splits():
+    # fault x = 1 over y in [0, 1] of a 2x2x1 box: its edge on the y = 0
+    # domain face splits (the u == 0 branch of the split rule) and its tip
+    # edge at y = 1 stays shared; 18 lattice nodes plus 2 twins
+    spec = _box_spec(nx=2, ny=2, nz=1, lx=2.0, ly=2.0, lz=1.0,
+                     faults=[FaultSpec("F", "x", 1.0, 0.0, 1.0, 0.0, 1.0)])
+    mesh = build_structured_domain(spec)
+    assert mesh.n_nodes == 20
+    np.testing.assert_array_equal(mesh.lattice[18:], [[1, 0, 0], [1, 0, 1]])
+    iset = mesh.interfaces
+    top, bot = iset.top_nodes[0], iset.bottom_nodes[0]
+    on_face = mesh.points[top][:, 1] == 0.0
+    assert on_face.sum() == 2
+    assert np.all(top[on_face] != bot[on_face])
+    np.testing.assert_array_equal(top[~on_face], bot[~on_face])
+    np.testing.assert_array_equal(mesh.points[top], mesh.points[bot])
+
+
+def test_scenario_numbering_is_pinned():
+    # checkpoint fingerprints hash the mesh numbering, so a change to it
+    # must be deliberate: update this digest in the same change
+    mesh = build_conceptual_model(resolution=16.0).mesh
+    iset = mesh.interfaces
+    digest = hashlib.sha256()
+    for a in (mesh.hexes, mesh.lattice, iset.top_nodes, iset.bottom_nodes, iset.cell_top,
+              iset.cell_bottom, iset.edges, iset.fault_ids):
+        digest.update(repr((a.dtype.str, a.shape)).encode())
+        digest.update(np.ascontiguousarray(a).tobytes())
+    assert digest.hexdigest() == (
+        "a1755adf3c8e05094addfa3b4ff1857ebdc23bfc79b011d0e1d259c5853e7728"
+    )
+
+
 # --- dipping fault frames ----------------------------------------------
 
 
@@ -274,6 +309,19 @@ def test_local_frame_right_handed():
     assert np.cross(m1, m2) @ n == pytest.approx(1.0, abs=1e-12)
     assert m2[2] > 0.0
     assert abs(m1 @ n) < 1e-14 and abs(m2 @ n) < 1e-14
+
+
+def test_local_frame_stacked_matches_one_by_one():
+    rng = np.random.default_rng(3)
+    normals = rng.normal(size=(50, 3))
+    normals[0] = (0.0, 0.0, -2.0)  # horizontal surface: m2 falls back to the x axis
+    stacked = local_frame(normals)
+    for row, normal in enumerate(normals):
+        for got, want in zip(stacked, local_frame(normal)):
+            np.testing.assert_array_equal(got[row], want)
+    n, m1, m2 = (v[0] for v in stacked)
+    np.testing.assert_array_equal(np.column_stack([n, m1, m2]),
+                                  [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])
 
 
 # --- adjacency ----------------------------------------------------------

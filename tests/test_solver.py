@@ -14,7 +14,12 @@ from scipy.sparse.linalg import splu
 
 from faultmech import assembly as assembly_module
 from faultmech import solver as solver_module
-from faultmech.assembly import assemble_system, divergence_forces, free_dof_mask
+from faultmech.assembly import (
+    assemble_system,
+    divergence_forces,
+    free_dof_mask,
+    stiffness_matrix,
+)
 from faultmech.constitutive import ElasticMaterial, FrictionLaw, tau_max
 from faultmech.contact import OPEN, SLIP, STICK, kkt_report
 from faultmech.mesh import AxisSegment, DomainSpec, FaultSpec, build_structured_domain
@@ -152,7 +157,7 @@ def test_recorded_displacement_is_in_force_balance():
     s1 = solver.march(StepsPressure(mesh, [cell_dp])).final
     assert np.any(s1.status == SLIP)
     free = solver.free_idx
-    k_ff = solver.k_csr[free][:, free]
+    k_ff = stiffness_matrix(mesh, [MAT])[0][free][:, free]
     f_f = (divergence_forces(mesh, [MAT]) @ cell_dp)[free]
     t_eff = s1.t_loc - solver.t0  # sealing fault: no fault pressure
     ku = k_ff @ s1.u[free]
@@ -254,7 +259,7 @@ def test_dissection_order_fills_less_than_default_order():
     assert mesh.n_cells == 1000
     solver = ContactSolver(mesh, [MAT], STRONG, _uniform_t0(mesh))
     free = np.flatnonzero(free_dof_mask(mesh))
-    plain = splu(solver.k_csr[free][:, free].tocsc())
+    plain = splu(stiffness_matrix(mesh, [MAT])[0][free][:, free].tocsc())
     assert solver.lu.nnz < plain.nnz
 
 
