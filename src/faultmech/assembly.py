@@ -9,7 +9,10 @@ Bulk equilibrium is incremental with respect to an assumed
 self-equilibrated initial state: K u = G dp - C t_eff, where body forces
 never appear, pressure enters through its change dp only (G is the load
 operator of `divergence_forces`), and the interface term carries the
-change of total traction t_eff = t - t0 - dp_fault * n.  The bulk is
+change of total traction t_eff = t - t0 - dp_fault * n.  J is the jump
+operator of `interface_blocks`, u -> area-averaged local jump; the
+coupling C = J^T diag(areas) is its area-weighted transpose and is not
+stored separately.  The bulk is
 linear, so the solver meets this exactly with its factorization of K;
 `assemble_system` evaluates only the interface rows.  The constraint rows
 read g + L dt = 0, with L the traction stabilization (`stab_matrix`) and
@@ -156,10 +159,11 @@ def divergence_forces(mesh, materials):
 
 @dataclass(frozen=True)
 class InterfaceOps:
-    """Precomputed interface operators shared by every solve step."""
+    """Precomputed interface operators shared by every solve step: the jump
+    operator J, the facet areas, and the length scale l_ref of the traction
+    rows.  The traction coupling is J^T diag(areas)."""
 
     jump_csr: sparse.csr_matrix    # (3m, 3n): u -> area-averaged local jump
-    coupling_csr: sparse.csr_matrix  # (3n, 3m): local traction -> residual force
     areas: np.ndarray
     l_ref: float
 
@@ -173,9 +177,7 @@ def interface_blocks(mesh) -> InterfaceOps:
     m = iset.count
     ndof = 3 * mesh.n_nodes
     if m == 0:
-        empty_j = sparse.csr_matrix((0, ndof))
-        empty_c = sparse.csr_matrix((ndof, 0))
-        return InterfaceOps(empty_j, empty_c, np.zeros(0), 1.0)
+        return InterfaceOps(sparse.csr_matrix((0, ndof)), np.zeros(0), 1.0)
 
     dofs_top = (3 * iset.top_nodes[:, :, None] + np.arange(3)).reshape(m, 12)
     dofs_bot = (3 * iset.bottom_nodes[:, :, None] + np.arange(3)).reshape(m, 12)
@@ -191,12 +193,8 @@ def interface_blocks(mesh) -> InterfaceOps:
     jump_csr = sparse.coo_matrix(
         (jump.ravel(), (rows, ccols)), shape=(3 * m, ndof)
     ).tocsr()
-    cdata = (jump * iset.areas[:, None, None]).ravel()
-    coupling_csr = sparse.coo_matrix(
-        (cdata, (ccols, rows)), shape=(ndof, 3 * m)
-    ).tocsr()
     l_ref = float(np.sqrt(np.median(iset.areas)))
-    return InterfaceOps(jump_csr, coupling_csr, iset.areas.copy(), l_ref)
+    return InterfaceOps(jump_csr, iset.areas.copy(), l_ref)
 
 
 def stab_matrix(mesh, cell_young):

@@ -90,8 +90,9 @@ class FaultSpec:
     """A rectangular fault surface aligned with one lattice plane.
 
     ``position`` is the in-plane coordinate at ``shear_anchor_z``; a nonzero
-    ``dip_deg`` tilts the surface from vertical by shearing node columns, and
-    is only supported for surfaces whose plane axis is x.
+    ``dip_deg`` tilts the surface from vertical, through the domain's
+    ``shear_profile``, and is only supported for surfaces whose plane axis
+    is x.
     """
 
     name: str
@@ -121,9 +122,10 @@ class DomainSpec:
     """Axis partitions, fault surfaces, and region tagging for one domain.
 
     Axis fields accept either a list of :class:`AxisSegment` or a ready-made
-    ascending breakpoint array. ``shear_profile``, when given, is a callable
-    x -> dx/dz evaluated per gridline and must reproduce each x fault's dip
-    at its trace; otherwise the profile is derived from the fault specs."""
+    ascending breakpoint array. ``shear_profile`` is the callable x -> dx/dz
+    that shears each node column, evaluated per x gridline; it must
+    reproduce each x fault's dip at its trace. Without it the columns stay
+    vertical, so every x fault must have zero dip."""
 
     x_segments: object
     y_segments: object
@@ -337,40 +339,6 @@ def _check_jacobians(points, hexes):
     )
 
 
-def _shear_coefficients(xs, faults):
-    """Per-gridline column shear dx/dz realizing each x fault's dip.
-
-    The shear is piecewise linear in x through control points at the domain
-    ends (zero) and at each dipping fault trace (tan of its dip), so
-    surfaces between them interpolate smoothly.
-    """
-    ctrl_x = [xs[0], xs[-1]]
-    ctrl_a = [0.0, 0.0]
-    for f in faults:
-        if f.axis != "x":
-            continue
-        a = np.tan(np.radians(f.dip_deg))
-        ctrl_x.append(f.position)
-        ctrl_a.append(a)
-    order = np.argsort(ctrl_x)
-    cx = np.asarray(ctrl_x)[order]
-    ca = np.asarray(ctrl_a)[order]
-    if np.any(np.diff(cx) <= _GEOM_TOL):
-        # merge duplicate control points, requiring consistent shear there
-        ux, inv = np.unique(np.round(cx / _GEOM_TOL).astype(np.int64), return_inverse=True)
-        merged_x = np.empty(ux.size)
-        merged_a = np.empty(ux.size)
-        for m in range(ux.size):
-            sel = inv == m
-            vals = ca[sel]
-            if np.ptp(vals) > 1e-12:
-                raise MeshError("conflicting dips pinned at the same x position")
-            merged_x[m] = cx[sel][0]
-            merged_a[m] = vals[0]
-        cx, ca = merged_x, merged_a
-    return np.interp(xs, cx, ca)
-
-
 def dissection_order(lattice):
     """Geometric nested-dissection order of nodes on an (i, j, k) lattice.
 
@@ -420,19 +388,17 @@ def build_structured_domain(spec: DomainSpec) -> Mesh:
     zs = _axis_of(spec.z_segments)
     nx, ny, nz = xs.size - 1, ys.size - 1, zs.size - 1
 
-    if spec.shear_profile is not None:
-        shear = np.array([float(spec.shear_profile(x)) for x in xs])
-        for f in spec.faults:
-            if f.axis != "x":
-                continue
-            want = np.tan(np.radians(f.dip_deg))
-            got = float(spec.shear_profile(f.position))
-            if abs(got - want) > 1e-12:
-                raise MeshError(
-                    f"shear profile gives dx/dz = {got} at fault {f.name}, dip needs {want}"
-                )
-    else:
-        shear = _shear_coefficients(xs, spec.faults)
+    profile = spec.shear_profile or (lambda x: 0.0)
+    shear = np.array([float(profile(x)) for x in xs])
+    for f in spec.faults:
+        if f.axis != "x":
+            continue
+        want = np.tan(np.radians(f.dip_deg))
+        got = float(profile(f.position))
+        if abs(got - want) > 1e-12:
+            raise MeshError(
+                f"shear profile gives dx/dz = {got} at fault {f.name}, dip needs {want}"
+            )
     za = spec.shear_anchor_z
 
     # node lattice, x sheared per column

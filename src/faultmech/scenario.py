@@ -5,6 +5,14 @@ faults, embedded in a layered elastic medium.
 Coordinates: z is elevation (surface at 0, negative downward); the graben
 axis runs along y. The two reservoir blocks are down-thrown by their full
 thickness relative to the laterally equivalent layer in the sideburden.
+
+`build_conceptual_model(resolution, variant)` is the one way to build it:
+the resolution sets the mesh, the variant the friction law (1 constant, 2
+arctan slip weakening). Everything else is a module constant: geometry,
+materials (Biot coefficient 1), initial stress, friction angles, weakening
+distance and cohesion; the model carries one storage cycle and sealing
+faults. The dipping bounding faults come from an odd column-shear profile
+in |x|, so the mesh is exactly mirror-symmetric in x and in y.
 """
 from __future__ import annotations
 
@@ -51,6 +59,13 @@ Z_RES_BOTTOM = -2200.0
 DIP_DEG = 10.0
 
 _TAN_DIP = math.tan(math.radians(DIP_DEG))
+
+# fault friction: variant 1 holds the static angle, variant 2 weakens by
+# the arctan law from the static to the dynamic angle over DC [m]
+PHI_S_DEG = 30.0
+PHI_D_DEG = 10.0
+DC = 0.002
+COHESION = 2.0e6  # [Pa]
 
 _MATERIALS = (
     ElasticMaterial("overburden", density=2200.0, young=10.0e9, poisson=0.25),
@@ -138,26 +153,16 @@ class ConceptualModel:
     initial_stress: InitialStress
     t0_local: np.ndarray  # (n_interfaces, 3) initial traction, local frames
     compartments: tuple  # (cells of block A, cells of block B)
-    hydraulic_modes: dict = field(default_factory=dict)
+    hydraulic_modes: dict = field(default_factory=dict)  # empty: every fault sealing
     variant: int = 1
     resolution: float = 4.0
     n_cycles: int = 1
 
 
-def build_conceptual_model(
-    resolution: float = 4.0,
-    variant: int = 1,
-    n_cycles: int = 1,
-    law_kind: str | None = None,
-    phi_s_deg: float = 30.0,
-    phi_d_deg: float = 10.0,
-    dc: float = 0.002,
-    cohesion: float = 2.0e6,
-    hydraulic_modes=None,
-    biot: float = 1.0,
-) -> ConceptualModel:
+def build_conceptual_model(resolution: float = 4.0, variant: int = 1) -> ConceptualModel:
     """Build the mesh and scenario data at the given resolution factor
-    (1 = reference scale, larger = coarser)."""
+    (1 = reference scale, larger = coarser) for friction variant 1
+    (constant) or 2 (arctan slip weakening)."""
     if resolution < 1.0:
         raise ScenarioError("resolution factor must be >= 1 (1 = reference scale)")
     if variant not in (1, 2):
@@ -208,17 +213,11 @@ def build_conceptual_model(
     )
     mesh = build_structured_domain(spec)
 
-    materials = [
-        ElasticMaterial(m.name, m.density, m.young, m.poisson, biot)
-        for m in _MATERIALS
-    ]
-
-    mu_s = math.tan(math.radians(phi_s_deg))
-    mu_d = math.tan(math.radians(phi_d_deg))
+    mu_s = math.tan(math.radians(PHI_S_DEG))
     if variant == 1:
-        law = FrictionLaw("constant", mu_s, mu_s, 1.0, cohesion)
+        law = FrictionLaw("constant", mu_s, mu_s, 1.0, COHESION)
     else:
-        law = FrictionLaw(law_kind or "arctan", mu_s, mu_d, dc, cohesion)
+        law = FrictionLaw("arctan", mu_s, math.tan(math.radians(PHI_D_DEG)), DC, COHESION)
 
     stress = InitialStress()
     iset = mesh.interfaces
@@ -235,13 +234,11 @@ def build_conceptual_model(
 
     return ConceptualModel(
         mesh=mesh,
-        materials=materials,
+        materials=list(_MATERIALS),
         law=law,
         initial_stress=stress,
         t0_local=t0,
         compartments=(block_a, block_b),
-        hydraulic_modes=dict(hydraulic_modes or {}),
         variant=variant,
         resolution=resolution,
-        n_cycles=n_cycles,
     )

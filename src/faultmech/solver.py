@@ -209,8 +209,9 @@ class ContactSolver:
                        options={"SymmetricMode": True})
         del k_ff
         self.div_ff = divergence_forces(mesh, self.materials)[self.free_idx]
-        self.c_ff = self.ops.coupling_csr[self.free_idx].tocsc()
         self.j_ff = self.ops.jump_csr[:, self.free_idx].tocsr()
+        # C = J^T diag(areas): local traction -> nodal force
+        self.c_ff = (self.j_ff.T @ sparse.diags(np.repeat(self.ops.areas, 3))).tocsc()
         n_t = 3 * self.ops.count
         l3 = sparse.kron(self.stab, sparse.eye(3), format="csc")
         self.w_stab = np.empty((n_t, n_t))

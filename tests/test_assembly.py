@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import block_diag
 
 from faultmech import assembly as assembly_module
@@ -232,12 +233,17 @@ def test_jump_operator_rigid_offset():
     assert ops.l_ref == pytest.approx(1.0)
 
 
+def _coupling(ops):
+    """The traction coupling C = J^T diag(areas), as the solver forms it."""
+    return ops.jump_csr.T @ sparse.diags(np.repeat(ops.areas, 3))
+
+
 def test_coupling_force_balance_and_pairing():
     mesh = _two_block_mesh(ny=2, nz=2)
     ops = interface_blocks(mesh)
     rng = np.random.default_rng(11)
     t = rng.standard_normal(3 * mesh.interfaces.count) * 1e6
-    fvec = -(ops.coupling_csr @ t).reshape(-1, 3)  # nodal forces
+    fvec = -(_coupling(ops) @ t).reshape(-1, 3)  # nodal forces
     np.testing.assert_allclose(fvec.sum(axis=0), 0.0, atol=1e-6)
     # forces on a split pair are equal and opposite at the same location
     iset = mesh.interfaces
@@ -251,7 +257,7 @@ def test_coupling_sign_compression_pushes_bodies_apart():
     mesh = _two_block_mesh()
     ops = interface_blocks(mesh)
     t = np.array([-1.0e6, 0.0, 0.0])  # compression, local frame
-    fvec = -(ops.coupling_csr @ t).reshape(-1, 3)  # nodal forces
+    fvec = -(_coupling(ops) @ t).reshape(-1, 3)  # nodal forces
     n = mesh.interfaces.frames[0][:, 0]
     top_force = fvec[mesh.interfaces.top_nodes[0]].sum(axis=0)
     bot_force = fvec[mesh.interfaces.bottom_nodes[0]].sum(axis=0)
@@ -402,7 +408,7 @@ def test_uniform_increment_equilibrates_interior():
         t0[e] = frames[e].T @ (np.array([[-5e6, 0, 0], [0, -6e6, 0], [0, 0, -8e6]]) @ frames[e][:, 0])
     t = t0 + np.einsum("exc,xy,ey->ec", frames, sig, frames[:, :, 0])
 
-    r_u = k @ u + ops.coupling_csr @ (t - t0).ravel()
+    r_u = k @ u + _coupling(ops) @ (t - t0).ravel()
     scale = np.max(np.abs(r_u))
     interior = ~mesh.boundary_node_mask(("xmin", "xmax", "ymin", "ymax", "zmin", "zmax"))
     r_nodes = r_u.reshape(-1, 3)

@@ -229,6 +229,12 @@ def test_scenario_numbering_is_pinned():
 # --- dipping fault frames ----------------------------------------------
 
 
+def _dip_profile(x_lo, position, x_hi, dip_deg):
+    """Column shear dx/dz, tan(dip) at the fault trace and zero at both ends."""
+    a = np.tan(np.radians(dip_deg))
+    return lambda x: float(np.interp(x, [x_lo, position, x_hi], [0.0, a, 0.0]))
+
+
 def _dipping_spec(dip_deg):
     return DomainSpec(
         x_segments=[
@@ -250,6 +256,7 @@ def _dipping_spec(dip_deg):
             )
         ],
         shear_anchor_z=-200.0,
+        shear_profile=_dip_profile(-300.0, -100.0, 300.0, dip_deg),
     )
 
 
@@ -265,6 +272,20 @@ def test_dipping_fault_area_analytic():
     mesh = build_structured_domain(_dipping_spec(dip))
     total = mesh.interfaces.areas.sum()
     assert total == pytest.approx(200.0 * 400.0 / math.cos(math.radians(dip)), rel=1e-10)
+
+
+def test_dipping_fault_needs_a_shear_profile():
+    spec = _dipping_spec(10.0)
+    spec.shear_profile = None
+    with pytest.raises(MeshError, match="fault D"):
+        build_structured_domain(spec)
+
+
+def test_shear_profile_must_match_the_dip():
+    spec = _dipping_spec(10.0)
+    spec.shear_profile = _dip_profile(-300.0, -100.0, 300.0, 5.0)
+    with pytest.raises(MeshError, match="fault D"):
+        build_structured_domain(spec)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -293,6 +314,7 @@ def test_randomized_mesh_frames_orthonormal(seed):
             )
         ],
         shear_anchor_z=-300.0,
+        shear_profile=_dip_profile(-500.0, -100.0, 500.0, dip),
     )
     mesh = build_structured_domain(spec)
     for r in mesh.interfaces.frames:

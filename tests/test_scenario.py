@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from faultmech.constitutive import tau_max
+from faultmech.pressure import UniformCompartmentPressure
 from faultmech.scenario import (
     R_LOWER_SEAL,
     R_OVERBURDEN,
@@ -18,6 +19,7 @@ from faultmech.scenario import (
     build_conceptual_model,
     initial_fault_traction,
 )
+from faultmech.solver import ContactSolver, _fingerprint
 
 MPA = 1.0e6
 DIP = math.radians(10.0)
@@ -270,6 +272,47 @@ def test_mirror_symmetry_y(model):
     a = pts[np.lexsort(pts.T)]
     b = flipped[np.lexsort(flipped.T)]
     assert np.array_equal(a, b)
+
+
+def _mirror_index(centroids, flip):
+    """For each element, the element whose centroid is its mirror image."""
+    dist = np.abs(centroids[:, None, :] * flip - centroids[None, :, :]).max(axis=2)
+    j = dist.argmin(axis=1)
+    assert dist[np.arange(j.size), j].max() < 1e-6
+    assert np.array_equal(np.sort(j), np.arange(j.size))
+    return j
+
+
+def test_march_is_mirror_symmetric():
+    # geometry, materials, stress and schedule are symmetric under x -> -x
+    # and y -> -y, so mirrored elements carry the same |traction| and status
+    m = build_conceptual_model(resolution=16.0)
+    solver = ContactSolver(m.mesh, m.materials, m.law, m.t0_local)
+    pressure = UniformCompartmentPressure(m.mesh, m.compartments)
+    records = solver.march(pressure, stop_after=4).records
+    assert len(records) == 5
+    cents = m.mesh.interfaces.centroids
+    for flip in ([-1.0, 1.0, 1.0], [1.0, -1.0, 1.0]):
+        j = _mirror_index(cents, np.array(flip))
+        for state in records:
+            t_n = state.t_loc[:, 0]
+            t_t = np.linalg.norm(state.t_loc[:, 1:], axis=1)
+            tol = 1e-9 * np.abs(t_n).max()
+            np.testing.assert_allclose(t_n[j], t_n, rtol=0.0, atol=tol)
+            np.testing.assert_allclose(t_t[j], t_t, rtol=0.0, atol=tol)
+            np.testing.assert_array_equal(state.status[j], state.status)
+
+
+@pytest.mark.parametrize("variant, digest", [
+    (1, "a053dc7533ca02578faabd4075f996382ddf9a44672688e6f8747131988e17e1"),
+    (2, "f338ecc092fd7df419677b54138d68f140cd727b0ac6d7b67c8bb029e3c5090e"),
+])
+def test_scenario_fingerprint_is_pinned(variant, digest):
+    # the fingerprint covers the mesh, materials, friction law and initial
+    # tractions, and checkpoints carry it: a change to any model datum must
+    # be deliberate, with this digest updated in the same change
+    m = build_conceptual_model(resolution=16.0, variant=variant)
+    assert _fingerprint(m.mesh, m.materials, m.law, m.t0_local) == digest
 
 
 def test_initial_tractions_admissible_scenario1(model):
