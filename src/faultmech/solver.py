@@ -31,12 +31,13 @@ g0 and one to record u at the converged tractions; every Newton iterate,
 line-search trial, sweep and snap-search partition works on the dense
 interface system only.  The Newton direction solves
 (E - D (W - L)) dt = -r_t, with D and E per-element 3x3 blocks.  Set-up
-LU-factors W - L once and warns (LinAlgWarning) when its estimated
-reciprocal condition is below machine epsilon.  The stick rows and the
-slip normal rows of the Newton matrix are rows of -(W - L), so an iterate
-factors only the r x r system of the other rows (two shear rows per slip
-element, three per open one): O((3m)^2 (r + 2)) + O(r^3) per iterate
-instead of O((3m)^3).  A residual check guards the direction, and an
+LU-factors W - L once, raises SolverError when its estimated reciprocal
+condition is below machine epsilon, and keeps its inverse.  The stick
+rows and the slip normal rows of the Newton matrix are rows of -(W - L),
+so an iterate factors only the r x r system of the other rows (two shear
+rows per slip element, three per open one): O(3m r) to gather their rows
+of the inverse, two mat-vecs with the inverse and O(r^3), instead of
+O((3m)^3).  A residual check guards the direction, and an
 inaccurate solve raises SolverError.
 
 A solver is built from the model alone, ContactSolver(mesh, materials,
@@ -49,7 +50,6 @@ import hashlib
 import itertools
 import json
 import os
-import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -219,16 +219,17 @@ class ContactSolver:
             c1 = min(c0 + SCHUR_CHUNK, n_t)
             self.w_stab[:, c0:c1] = (self.j_ff @ self.lu.solve(self.c_ff[:, c0:c1].toarray())
                                      - l3[:, c0:c1].toarray())
-        # W - L never changes: every Newton iterate reuses this one factorization
-        self.w_lu = dla.lu_factor(self.w_stab)
+        # W - L never changes: one factorization gives its inverse, and every
+        # Newton iterate gathers rows of that inverse
+        w_lu = dla.lu_factor(self.w_stab)
         if n_t:
             anorm = np.abs(self.w_stab).sum(axis=0).max()
-            rcond = dla.lapack.dgecon(self.w_lu[0], anorm)[0]
+            rcond = dla.lapack.dgecon(w_lu[0], anorm)[0]
             if rcond < np.finfo(float).eps:
-                warnings.warn(
+                raise SolverError(
                     f"singular interface operator W - L: rcond = {rcond:.2e}, below "
-                    f"machine epsilon; its solves are not unique",
-                    dla.LinAlgWarning, stacklevel=2)
+                    f"machine epsilon")
+        self.w_inv = dla.lu_solve(w_lu, np.eye(n_t))
 
     # ------------------------------------------------------------------
 
@@ -269,10 +270,10 @@ class ContactSolver:
         v = (W - L) dt those rows read v_J = r_J.  The r other rows (slip
         shear, open) give, with Y = E_R (W - L)^-1, the r x r system
         (Y_R - D_RR) v_R = -r_R - (Y_J - D_RJ) v_J, and dt = (W - L)^-1 v
-        from the LU factors of set-up.  One step of iterative refinement on
-        the full Newton system follows.  An iterate costs O((3m)^2 (r + 2))
-        for Y and the triangular solves plus O(r^3) for the r x r factor;
-        an all-stick iterate is two pairs of triangular solves.
+        with the inverse from set-up.  One step of iterative refinement on
+        the full Newton system follows.  An iterate costs O(3m r) to gather
+        Y from the inverse, two mat-vecs with the inverse and O(r^3) for
+        the r x r factor; an all-stick iterate is the two mat-vecs alone.
         """
         m = self.ops.count
         jump = (np.all(sys.d_block == np.eye(3), axis=2)
@@ -280,14 +281,12 @@ class ContactSolver:
         rest = np.flatnonzero(~jump)
         d_rows = sys.d_block.reshape(3 * m, 3)
         e_rows = sys.e_block.reshape(3 * m, 3)
-        # y = Y - D_R (r x 3m), with Y^T = (W - L)^-T E_R^T; the E and D rows
-        # of an R row touch only its own element's three columns
+        # y = Y - D_R (r x 3m); the E and D rows of an R row touch only its
+        # own element's three columns, so a row of Y is three rows of the
+        # inverse weighted by its E entries
         cols = 3 * (rest // 3)[:, None] + np.arange(3)
-        at = np.arange(rest.size)[:, None]
-        e_rt = np.zeros((3 * m, rest.size))
-        e_rt[cols, at] = e_rows[rest]
-        y = dla.lu_solve(self.w_lu, e_rt, trans=1, check_finite=False).T
-        y[at, cols] -= d_rows[rest]
+        y = np.einsum("ik,ikj->ij", e_rows[rest], self.w_inv[cols])
+        y[np.arange(rest.size)[:, None], cols] -= d_rows[rest]
         y_j = y[:, jump]
         rr_lu = dla.lu_factor(y[:, rest], check_finite=False)
 
@@ -295,7 +294,7 @@ class ContactSolver:
             v = np.empty(3 * m)
             v[jump] = -b[jump]
             v[rest] = dla.lu_solve(rr_lu, b[rest] - y_j @ v[jump], check_finite=False)
-            return dla.lu_solve(self.w_lu, v, check_finite=False)
+            return self.w_inv @ v
 
         dt = solve(-sys.r_t)
         # one step of iterative refinement on the full Newton system

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 from scipy import sparse
-from scipy.linalg import LinAlgWarning
 from scipy.sparse.linalg import splu
 
 from faultmech import assembly as assembly_module
@@ -32,10 +31,11 @@ STRONG = FrictionLaw("constant", 0.6, 0.6, 1.0, 2.0e6)
 WEAK = FrictionLaw("constant", 0.1, 0.1, 1.0, 1.0e3)
 
 
-def _mesh_two_columns(nz=4, h=1.0):
+def _mesh_two_columns(nz=4, h=1.0, ny=2):
+    # with one cell in y every node sits on a y-roller wall
     spec = DomainSpec(
         x_segments=[AxisSegment(0.0, 1.0, "uniform", h), AxisSegment(1.0, 2.0, "uniform", h)],
-        y_segments=[AxisSegment(0.0, 1.0, "uniform", h)],
+        y_segments=[AxisSegment(0.0, 1.0, "uniform", h / ny)],
         z_segments=[AxisSegment(-nz * h, 0.0, "uniform", h)],
         faults=[FaultSpec("F", "x", 1.0, 0.0, 1.0, -nz * h, 0.0)],
     )
@@ -289,10 +289,11 @@ def _setup_warnings(mesh, materials, law, t0):
 
 def test_singular_interface_operator_is_reported_once_at_setup(r16_model):
     # one cell in y puts every node on a y-roller, so W - L is singular
+    one = _mesh_two_columns(ny=1)
+    with pytest.raises(SolverError, match="^singular interface operator W - L: rcond = "):
+        ContactSolver(one, [MAT], WEAK, _uniform_t0(one))
     two = _mesh_two_columns()
-    caught = _setup_warnings(two, [MAT], WEAK, _uniform_t0(two))
-    assert len(caught) == 1 and caught[0][0] is LinAlgWarning
-    assert caught[0][1].startswith("singular interface operator W - L")
+    assert _setup_warnings(two, [MAT], WEAK, _uniform_t0(two)) == []
     buried = _buried_fault_mesh()
     assert _setup_warnings(buried, [MAT], WEAK, _uniform_t0(buried)) == []
     m = r16_model
@@ -345,21 +346,23 @@ def test_condensed_solve_matches_the_direct_solve(r16_model, variant):
 
 
 class _LinalgSpy:
-    """scipy.linalg stand-in that logs the matrix shape of every factoring call."""
+    """scipy.linalg stand-in that logs the matrix shape of every call named,
+    by default every factoring call; an lu_solve logs the shape of its factor."""
 
     FACTORING = ("solve", "lu_factor", "lu", "cho_factor", "inv", "lstsq", "qr", "svd")
 
-    def __init__(self, inner):
+    def __init__(self, inner, names=FACTORING):
         self.inner = inner
+        self.names = names
         self.calls = []
 
     def __getattr__(self, name):
         real = getattr(self.inner, name)
-        if name not in self.FACTORING:
+        if name not in self.names:
             return real
 
         def spy(a, *args, **kwargs):
-            self.calls.append((name, np.shape(a)))
+            self.calls.append((name, np.shape(a[0] if name == "lu_solve" else a)))
             return real(a, *args, **kwargs)
         return spy
 
@@ -378,6 +381,35 @@ def test_all_stick_march_factors_no_interface_matrix_after_setup(monkeypatch):
     assert all(np.all(r.status == STICK) for r in hist.records)
     assert sum(sum(r.info.newton_iters) for r in hist.records[1:]) >= 2
     assert [call for call in spy.calls if max(call[1], default=0) >= n] == []
+
+
+def test_slipping_march_solves_against_no_interface_factor_after_setup(monkeypatch):
+    # set-up turns its one LU of W - L into the inverse; a Newton iterate
+    # then factors and solves only the r x r system of its non-stick rows
+    spy = _LinalgSpy(solver_module.dla, _LinalgSpy.FACTORING + ("lu_solve",))
+    monkeypatch.setattr(solver_module, "dla", spy)
+    mesh = _mesh_two_columns(nz=4)
+    n = 3 * mesh.interfaces.count
+    solver = ContactSolver(mesh, [MAT], WEAK, _uniform_t0(mesh))
+    assert spy.calls == [("lu_factor", (n, n)), ("lu_solve", (n, n))]
+    spy.calls.clear()
+    left = mesh.cell_centroids()[:, 0] < 1.0
+    final = solver.march(StepsPressure(mesh, [np.where(left, -5.0e6, 0.0)])).final
+    assert np.any(final.status == SLIP)
+    assert any(name == "lu_factor" and 0 < shape[0] < n for name, shape in spy.calls)
+    assert [call for call in spy.calls if call[0] == "lu_solve" and call[1][0] >= n] == []
+
+
+def test_setup_inverse_of_the_interface_operator_is_accurate(r16_model):
+    m = r16_model
+    solver = ContactSolver(m.mesh, m.materials, m.law, m.t0_local)
+    n = 3 * solver.ops.count
+    # W - L and its inverse are the only dense 3m x 3m arrays kept: no LU
+    held = [name for name, v in vars(solver).items()
+            for a in (v if isinstance(v, tuple) else (v,))
+            if isinstance(a, np.ndarray) and a.shape == (n, n)]
+    assert sorted(held) == ["w_inv", "w_stab"]
+    assert np.abs(np.eye(n) - solver.w_stab @ solver.w_inv).max() <= 1e-9
 
 
 def test_w_built_in_ragged_blocks_matches_one_block(monkeypatch):
@@ -441,8 +473,8 @@ def test_jump_search_lands_on_the_sweep_answer(monkeypatch):
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "ROADMAP item 1: the stabilized interface operator W - L is indefinite, so "
-    "the sweep path slips all three elements and the jump search slips one, "
-    "and both states are KKT-clean"))
+    "the sweep path slips all six elements and the jump search slips two, one "
+    "in each y cell, and both states are KKT-clean"))
 def test_sweep_and_jump_paths_agree_at_slip_onset(monkeypatch):
     mesh = _mesh_two_columns(nz=3)
     law = FrictionLaw("constant", 0.3, 0.3, 1.0, 1.0e3)
@@ -527,7 +559,7 @@ def test_pressure_load_operator_is_built_once(monkeypatch):
 
     monkeypatch.setattr(solver_module, "divergence_forces", counting)
     monkeypatch.setattr(solver_module, "ACTIVESET_MAX", 1)
-    mesh = _mesh_two_columns(nz=3)
+    mesh = _mesh_two_columns(nz=4)  # the top element must slip: more than one sweep
     left = mesh.cell_centroids()[:, 0] < 1.0
     solver = ContactSolver(mesh, [MAT], WEAK, _uniform_t0(mesh))
     assert len(calls) == 1
@@ -636,7 +668,7 @@ def test_march_reads_each_pressure_field_once():
 
 
 def test_initial_reference_direction_follows_the_initial_shear():
-    mesh = _mesh_two_columns(nz=4)
+    mesh = _mesh_two_columns(nz=2)  # m = 4
     t0 = _uniform_t0(mesh)
     t0[1:, 1:] = [[3.0e5, -4.0e5], [0.0, 2.0e5], [-1.0e-3, 0.0]]
     d_ref = ContactSolver(mesh, [MAT], STRONG, t0).initial_state().d_ref
