@@ -25,11 +25,14 @@ Each loading step solves the interface problem alone: an exact Newton
 loop on the tractions with the stick/slip/open partition held fixed, and
 partition sweeps outside it until the partition settles.  The pressure
 load is linear in the cell pressure changes, so set-up also builds the
-load operator G once (`divergence_forces`).  A step costs one sparse
-mat-vec with it, f = G dp, plus two sparse back-substitutions, one for
-g0 and one to record u at the converged tractions; every Newton iterate,
-line-search trial, sweep and snap-search partition works on the dense
-interface system only.  The Newton direction solves
+load operator G once (`divergence_forces`).  A loading step costs one
+sparse mat-vec with it, f = G dp, plus one sparse back-substitution for
+g0 and, once it converges, one more to record u at its tractions,
+however often it bisects: a substep's start jumps are the converged
+start state's jumps plus its share of the step's load response (the bulk
+is linear), so they need no solve.  Every Newton iterate, line-search
+trial, sweep and snap-search partition works on the dense interface
+system only.  The Newton direction solves
 (E - D (W - L)) dt = -r_t, with D and E per-element 3x3 blocks.  Set-up
 LU-factors W - L once, raises SolverError when its estimated reciprocal
 condition is below machine epsilon, and keeps its inverse.  The stick
@@ -113,11 +116,13 @@ class StepState:
     """Converged state after a loading step (cumulative quantities).
 
     Every state a march records is a valid start state for the next step.
-    States are never modified in place, so they may share arrays.
+    States are never modified in place, so they may share arrays.  u is
+    None on a substep state: a loading step solves u once, for the state
+    it returns, so march records and checkpoints only states with u.
     """
 
     step: int
-    u: np.ndarray
+    u: np.ndarray | None
     t_loc: np.ndarray
     status: np.ndarray
     slip_acc: np.ndarray
@@ -261,6 +266,17 @@ class ContactSolver:
         t_eff[:, 0] -= dp_fault
         return t_eff.ravel()
 
+    def _start_jumps(self, state, f_ff, fault_dp):
+        """g0 = J K^-1 (f - C t_eff): the jumps at the state's tractions under
+        the load f_ff = G dp (one sparse solve)."""
+        return self.j_ff @ self.lu.solve(f_ff - self.c_ff @ self._t_eff(state.t_loc, fault_dp))
+
+    def _with_u(self, state, f_ff, fault_dp):
+        """state with u = K^-1 (f - C t_eff) at its tractions (one sparse solve)."""
+        u = np.zeros(3 * self.mesh.n_nodes)
+        u[self.free_idx] = self.lu.solve(f_ff - self.c_ff @ self._t_eff(state.t_loc, fault_dp))
+        return replace(state, u=u)
+
     def _linear_solve(self, sys):
         """Newton direction on the tractions: (E - D (W - L)) dt = -r_t.
 
@@ -369,12 +385,19 @@ class ContactSolver:
 
     # ------------------------------------------------------------------
 
-    def solve_step(self, state: StepState, cell_dp, fault_dp, jump_ok=False):
+    def solve_step(self, state: StepState, cell_dp, fault_dp, jump_ok=False, g0=None):
+        """One load increment from state to the load (cell_dp, fault_dp).
+
+        g0 is the jumps at the start tractions under that load,
+        g_load - W t_eff(t_start).  Without it the step solves g0 and, once
+        converged, u: two sparse solves.  Given g0, it makes no sparse solve
+        and returns u=None; `_advance` passes it and fills u itself.
+        """
         m = self.ops.count
-        f_ff = self.div_ff @ cell_dp
-        # the jumps at the start tractions under this step's load,
-        # g_load - W t_eff(t_start)
-        g0 = self.j_ff @ self.lu.solve(f_ff - self.c_ff @ self._t_eff(state.t_loc, fault_dp))
+        direct = g0 is None
+        if direct:
+            f_ff = self.div_ff @ cell_dp
+            g0 = self._start_jumps(state, f_ff, fault_dp)
 
         t = state.t_loc
         status = state.status
@@ -491,12 +514,10 @@ class ContactSolver:
         slip_acc[slipping] += ds[slipping]
         d_ref_new = np.where(slipping[:, None], d_conv, d_ref)
         g_n_book = np.where(status == OPEN, g[:, 0], sys.r_t[0::3])
-        u = np.zeros(3 * self.mesh.n_nodes)
-        u[self.free_idx] = self.lu.solve(f_ff - self.c_ff @ self._t_eff(t, fault_dp))
 
         new_state = StepState(
             step=state.step + 1,
-            u=u,
+            u=None,
             t_loc=t,
             status=status,
             slip_acc=slip_acc,
@@ -506,6 +527,8 @@ class ContactSolver:
             g_n_book=g_n_book,
             slip_acc_start=state.slip_acc,
         )
+        if direct:
+            new_state = self._with_u(new_state, f_ff, fault_dp)
         return new_state, info
 
     def _jump_search(self, state, contended, t_now, g0):
@@ -592,7 +615,8 @@ class ContactSolver:
                       info=None if info is None else StepInfo(**info))
         return StepState(**values)
 
-    def _advance(self, state, prev_cell, prev_fault, cell_dp, fault_dp, depth):
+    def _advance(self, state, prev_cell, prev_fault, cell_dp, fault_dp, depth=0,
+                 dg_load=None):
         """One load increment, bisecting the pressure interval on trouble.
 
         A full-size increment can reshuffle several interface elements at
@@ -600,27 +624,44 @@ class ContactSolver:
         answer; with a small enough increment the active set moves one
         element at a time and settles.  Substep states are real converged
         states, so accumulated slip follows the loading path.
+
+        The bulk is linear, so at fixed tractions the jumps are affine in the
+        load.  Depth 0 solves the start jumps g0, and dg_load =
+        g0 - state.g_loc is what the step's load adds to them.  A later
+        attempt starts from a converged state whose g_loc holds the jumps
+        under its own load, so its g0 is that g_loc plus its share of
+        dg_load, halved at each bisection, and needs no sparse solve.
+        Attempts return u=None; depth 0 solves u once, for its own state.
         """
+        if depth == 0:
+            f_ff = self.div_ff @ cell_dp
+            g0 = self._start_jumps(state, f_ff, fault_dp)
+            dg_load = g0 - state.g_loc.ravel()
+        else:
+            g0 = state.g_loc.ravel() + dg_load
         try:
-            return self.solve_step(state, cell_dp, fault_dp, jump_ok=depth >= SUBSTEP_DEPTH)
+            new, info = self.solve_step(state, cell_dp, fault_dp,
+                                        jump_ok=depth >= SUBSTEP_DEPTH, g0=g0)
         except SolverError:
             if depth >= SUBSTEP_DEPTH:
                 raise
-        mid_cell = 0.5 * (prev_cell + cell_dp)
-        mid_fault = 0.5 * (prev_fault + fault_dp)
-        half, info_a = self._advance(state, prev_cell, prev_fault,
-                                     mid_cell, mid_fault, depth + 1)
-        full, info_b = self._advance(half, mid_cell, mid_fault,
-                                     cell_dp, fault_dp, depth + 1)
-        info = StepInfo(**{f.name: getattr(info_a, f.name) + getattr(info_b, f.name)
-                           for f in fields(info_a)})
-        merged = replace(
-            full,
-            step=state.step + 1,
-            dg_t=half.dg_t + full.dg_t,
-            slip_acc_start=state.slip_acc,
-        )
-        return merged, info
+            mid_cell = 0.5 * (prev_cell + cell_dp)
+            mid_fault = 0.5 * (prev_fault + fault_dp)
+            half, info_a = self._advance(state, prev_cell, prev_fault,
+                                         mid_cell, mid_fault, depth + 1, 0.5 * dg_load)
+            full, info_b = self._advance(half, mid_cell, mid_fault,
+                                         cell_dp, fault_dp, depth + 1, 0.5 * dg_load)
+            info = StepInfo(**{f.name: getattr(info_a, f.name) + getattr(info_b, f.name)
+                               for f in fields(info_a)})
+            new = replace(
+                full,
+                step=state.step + 1,
+                dg_t=half.dg_t + full.dg_t,
+                slip_acc_start=state.slip_acc,
+            )
+        if depth == 0:
+            new = self._with_u(new, f_ff, fault_dp)
+        return new, info
 
     def march(self, pressure, checkpoint=None, start_state=None, stop_after=None,
               progress=None) -> History:
@@ -631,10 +672,13 @@ class ContactSolver:
             records.append(state)
         last = pressure.n_steps if stop_after is None else min(stop_after, pressure.n_steps)
         prev = _field_arrays(pressure, state.step)
+        # an initial state has u = 0 and g_loc = 0, the answer to zero dp
+        if state.step == 0 and (np.any(prev[0]) or np.any(prev[1])):
+            raise ValueError("step 0: the pressure source must start at zero dp")
         for step in range(state.step + 1, last + 1):
             cur = _field_arrays(pressure, step)
             try:
-                state, info = self._advance(state, *prev, *cur, 0)
+                state, info = self._advance(state, *prev, *cur)
             except SolverError as exc:
                 if checkpoint is not None:
                     self._save_checkpoint(checkpoint, state)

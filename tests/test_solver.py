@@ -569,6 +569,111 @@ def test_pressure_load_operator_is_built_once(monkeypatch):
     assert len(calls) == 1
 
 
+class _CountingLU:
+    """SuperLU stand-in that counts its solves; other attributes pass through."""
+
+    def __init__(self, lu):
+        self.inner = lu
+        self.solves = 0
+
+    def solve(self, *args, **kwargs):
+        self.solves += 1
+        return self.inner.solve(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def _attempt_log(solver):
+    """Wrap solver.solve_step; every attempt appends (state, cell_dp, fault_dp, g0)."""
+    log = []
+    real = solver.solve_step
+
+    def logged(state, cell_dp, fault_dp, **kwargs):
+        log.append((state, cell_dp, fault_dp, kwargs.get("g0")))
+        return real(state, cell_dp, fault_dp, **kwargs)
+
+    solver.solve_step = logged
+    return log
+
+
+def test_bisected_step_makes_one_solve_for_g0_and_one_for_u(monkeypatch):
+    # under ACTIVESET_MAX = 1 step 1 converges only after bisecting, and
+    # step 2 fails at every depth
+    monkeypatch.setattr(solver_module, "ACTIVESET_MAX", 1)
+    mesh = _mesh_two_columns(nz=4)
+    left = mesh.cell_centroids()[:, 0] < 1.0
+    pressure = StepsPressure(mesh, [np.where(left, f * 1.0e6, 0.0) for f in (-4.0, -6.0)])
+    solver = ContactSolver(mesh, [MAT], WEAK, _uniform_t0(mesh))
+    solver.lu = _CountingLU(solver.lu)
+    attempts = _attempt_log(solver)
+    solves = [0]
+    tried = [0]
+
+    def progress(step, state, info):
+        solves.append(solver.lu.solves)
+        tried.append(len(attempts))
+        assert state.u is not None
+
+    with pytest.raises(SolverError, match="step 2"):
+        solver.march(pressure, progress=progress)
+    solves.append(solver.lu.solves)
+    tried.append(len(attempts))
+    assert np.diff(tried).min() > 1  # both steps bisected
+    assert np.diff(solves).tolist() == [2, 1]
+    assert all(g0 is not None for *_, g0 in attempts)
+
+
+def test_substep_start_jumps_match_a_direct_solve(monkeypatch):
+    monkeypatch.setattr(solver_module, "ACTIVESET_MAX", 1)
+    mesh = _mesh_two_columns(nz=4)
+    left = mesh.cell_centroids()[:, 0] < 1.0
+    m = mesh.interfaces.count
+    # a non-sealing fault too: its pressure enters the start jumps
+    fault_dp = np.outer([0.0, -0.5e6, -1.0e6], np.ones(m))
+    pressure = StepsPressure(mesh, [np.where(left, f * 1.0e6, 0.0) for f in (-2.0, -4.0)],
+                             fault_dp=fault_dp)
+    solver = ContactSolver(mesh, [MAT], WEAK, _uniform_t0(mesh))
+    attempts = _attempt_log(solver)
+    solver.march(pressure)
+    assert len(attempts) > pressure.n_steps  # some step bisected
+    for state, cell_dp, fdp, g0 in attempts:
+        direct = solver.j_ff @ solver.lu.solve(
+            solver.div_ff @ cell_dp - solver.c_ff @ solver._t_eff(state.t_loc, fdp))
+        np.testing.assert_allclose(g0, direct, rtol=0.0, atol=1e-12 * np.abs(g0).max())
+
+
+def test_unbisected_march_equals_chained_direct_steps():
+    mesh = _mesh_two_columns(nz=3)
+    left = mesh.cell_centroids()[:, 0] < 1.0
+    pressure = StepsPressure(mesh, [np.where(left, f * -2.0e6, 0.0) for f in (0.5, 1.0, 1.5)])
+    solver = ContactSolver(mesh, [MAT], WEAK, _uniform_t0(mesh))
+    attempts = _attempt_log(solver)
+    hist = solver.march(pressure)
+    assert len(attempts) == pressure.n_steps
+    assert np.any(hist.final.status == SLIP)
+    del solver.solve_step
+    state = solver.initial_state()
+    for rec in hist.records[1:]:
+        fld = pressure.field_at(rec.step)
+        state, _ = solver.solve_step(state, fld.cell_dp, fld.fault_dp)
+        for name in ("u", "t_loc", "status", "g_loc"):
+            assert np.array_equal(getattr(rec, name), getattr(state, name)), name
+
+
+def test_march_refuses_a_source_that_starts_at_nonzero_dp():
+    mesh = _mesh_two_columns(nz=3)
+    m = mesh.interfaces.count
+    solver = ContactSolver(mesh, [MAT], WEAK, _uniform_t0(mesh))
+    cell_load = StepsPressure(mesh, [np.full(mesh.n_cells, -2.0e6)])
+    cell_load.series[0] = np.full(mesh.n_cells, -1.0e6)
+    fault_load = StepsPressure(mesh, [np.zeros(mesh.n_cells)],
+                               fault_dp=np.outer([-1.0e6, 0.0], np.ones(m)))
+    for pressure in (cell_load, fault_load):
+        with pytest.raises(ValueError, match="step 0"):
+            solver.march(pressure)
+
+
 def test_checkpoint_restart_matches_straight_run(tmp_path):
     mesh = _mesh_two_columns(nz=3)
     left = mesh.cell_centroids()[:, 0] < 1.0
