@@ -23,7 +23,9 @@ transient is a few dense n_free x 64 blocks.
 
 Each loading step solves the interface problem alone: an exact Newton
 loop on the tractions with the stick/slip/open partition held fixed, and
-partition sweeps outside it until the partition settles.  The pressure
+one pass of partition sweeps outside it until the partition settles; a
+revisited partition fails the pass.  Once bisection has reached its limit,
+a failed pass gets at most one snap retry.  The pressure
 load is linear in the cell pressure changes, so set-up also builds the
 load operator G once (`divergence_forces`).  A loading step costs one
 sparse mat-vec with it, f = G dp, plus one sparse back-substitution for
@@ -140,7 +142,7 @@ class StepInfo:
     newton_iters: list = field(default_factory=list)
     newton_residuals: list = field(default_factory=list)  # 2-norm of r_t (m) per iterate
     linear_fallbacks: int = 0  # always 0: nothing falls back; bench/tracing.py reads it
-    cycle_recoveries: int = 0
+    cycle_recoveries: int = 0  # always 0: a cycle fails the pass; bench/tracing.py reads it
     jump_events: int = 0
 
     @property
@@ -383,60 +385,20 @@ class ContactSolver:
             _, t, sys = best
         raise AssertionError("unreachable")
 
-    # ------------------------------------------------------------------
+    def _sweep(self, t, status, d_ref, state, g0, contended, info):
+        """One pass of partition sweeps from (t, status, d_ref).
 
-    def solve_step(self, state: StepState, cell_dp, fault_dp, jump_ok=False, g0=None):
-        """One load increment from state to the load (cell_dp, fault_dp).
-
-        g0 is the jumps at the start tractions under that load,
-        g_load - W t_eff(t_start).  Without it the step solves g0 and, once
-        converged, u: two sparse solves.  Given g0, it makes no sparse solve
-        and returns u=None; `_advance` passes it and fills u itself.
-        """
+        Each sweep runs Newton on the held partition, then reclassifies, pins
+        and realigns; contended gains each element that toggled stick/slip or
+        slips.  Returns (None, t, (sys, status, d_ref, d_conv, ds, g)) once a
+        sweep keeps its partition, or (reason, t, None) at the last sweep's t
+        when a partition recurs or ACTIVESET_MAX sweeps ran."""
         m = self.ops.count
-        direct = g0 is None
-        if direct:
-            f_ff = self.div_ff @ cell_dp
-            g0 = self._start_jumps(state, f_ff, fault_dp)
-
-        t = state.t_loc
-        status = state.status
-        d_ref = state.d_ref.copy()
+        d_ref = d_ref.copy()
         frozen_slip = np.zeros(m, dtype=bool)
         flip_run = np.zeros(m, dtype=np.int64)
-        contended = np.zeros(m, dtype=bool)
         seen = {_partition_key(status, d_ref, frozen_slip)}
-        info = StepInfo()
-
-        sweeps = 0
-        jumped = False
-        demote_queue = None
-        cycle_status = cycle_d_ref = None
-        stuck_reason = None
-        while True:
-            if sweeps >= ACTIVESET_MAX:
-                stuck_reason = f"active set did not settle in {ACTIVESET_MAX} sweeps"
-            if stuck_reason is not None:
-                # Last resort for a genuine snap event: past a limit load
-                # the rate problem can lose its solution and the state has
-                # to jump to a distant equilibrium.  Search the contended
-                # elements for the nearest one, but only when the caller
-                # has already cut the load increment as far as it will go.
-                sel = None
-                if jump_ok and not jumped and contended.any():
-                    sel = self._jump_search(state, contended, t, g0)
-                if sel is None:
-                    raise SolverError(stuck_reason)
-                status, d_ref = sel
-                jumped = True
-                info.jump_events += 1
-                frozen_slip[:] = False
-                flip_run[:] = 0
-                demote_queue = None
-                sweeps = 0
-                stuck_reason = None
-                seen = {_partition_key(status, d_ref, frozen_slip)}
-                continue
+        for _ in range(ACTIVESET_MAX):
             t, sys, norms, iters = self._newton(t, status, d_ref, state, g0)
             info.newton_iters.append(iters)
             info.newton_residuals.append(norms)
@@ -475,38 +437,48 @@ class ContactSolver:
             entering = (new_status == SLIP) & (status != SLIP)
             d_ref[entering] = regularized_directions(t[:, 1:], d_ref)[0][entering]
             if not changed:
-                break
+                return None, t, (sys, status, d_ref, d_conv, ds, g)
             status = new_status
-            sweeps += 1
             fp = _partition_key(status, d_ref, frozen_slip)
             if fp in seen:
-                # A revisited partition means the sweep map cycles.  The
-                # usual culprit is a slipper that has to unload to stick
-                # when a neighbour activates: its own increment stays
-                # dissipation-consistent in every partition of the cycle,
-                # so no elementwise rule ever demotes it.  Branch off the
-                # cycle by demoting the current slippers one at a time
-                # (smallest increment first).
-                if demote_queue is None:
-                    sl = np.nonzero(status == SLIP)[0]
-                    demote_queue = list(sl[np.argsort(ds[sl])])
-                    cycle_status = status.copy()
-                    cycle_d_ref = d_ref.copy()
-                while demote_queue and frozen_slip[demote_queue[0]]:
-                    demote_queue.pop(0)
-                if not demote_queue:
-                    stuck_reason = "active set cycling between partitions"
-                    continue
-                e_dem = demote_queue.pop(0)
-                status = cycle_status.copy()
-                d_ref = cycle_d_ref.copy()
-                status[e_dem] = STICK
-                status[frozen_slip & (status != OPEN)] = SLIP
-                info.cycle_recoveries += 1
-                sweeps = 0
-                seen = {_partition_key(status, d_ref, frozen_slip)}
-                continue
+                return "active set cycling between partitions", t, None
             seen.add(fp)
+        return f"active set did not settle in {ACTIVESET_MAX} sweeps", t, None
+
+    # ------------------------------------------------------------------
+
+    def solve_step(self, state: StepState, cell_dp, fault_dp, jump_ok=False, g0=None):
+        """One load increment from state to the load (cell_dp, fault_dp).
+
+        g0 is the jumps at the start tractions under that load,
+        g_load - W t_eff(t_start).  Without it the step solves g0 and, once
+        converged, u: two sparse solves.  Given g0, it makes no sparse solve
+        and returns u=None; `_advance` passes it and fills u itself.
+
+        The step is one sweep pass (`_sweep`).  A stuck pass raises
+        SolverError, unless jump_ok and an element was contended: then one
+        more pass runs from the partition the snap-event search picks.
+        """
+        direct = g0 is None
+        if direct:
+            f_ff = self.div_ff @ cell_dp
+            g0 = self._start_jumps(state, f_ff, fault_dp)
+
+        contended = np.zeros(self.ops.count, dtype=bool)
+        info = StepInfo()
+        reason, t, settled = self._sweep(state.t_loc, state.status, state.d_ref,
+                                         state, g0, contended, info)
+        if reason is not None and jump_ok and contended.any():
+            # last resort for a genuine snap event: past a limit load the state may
+            # have to jump to a distant equilibrium; once the caller has cut the load
+            # increment fully, search the contended elements for the nearest one
+            sel = self._jump_search(state, contended, t, g0)
+            if sel is not None:
+                info.jump_events += 1
+                reason, t, settled = self._sweep(t, *sel, state, g0, contended, info)
+        if reason is not None:
+            raise SolverError(reason)
+        sys, status, d_ref, d_conv, ds, g = settled
 
         # the last sweep left d_ref as it was, so its d_conv and ds still hold
         slipping = status == SLIP

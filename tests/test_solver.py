@@ -446,14 +446,17 @@ def test_setup_workspace_is_bounded():
     assert peak <= 50 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
-def _sweep_and_jump_paths(monkeypatch, mesh, law, cell_dp):
+def _sweep_and_jump_paths(monkeypatch, mesh, law, cell_dp, instrument=None):
     """One step from the initial state along the plain sweep path, and with
-    the snap-event jump search forced after a single sweep."""
+    the snap-event jump search forced after a single sweep.  instrument(mp,
+    solver), if given, patches each path's solver before its step."""
     out = []
     for activeset_max, jump_ok in ((solver_module.ACTIVESET_MAX, False), (1, True)):
         solver = ContactSolver(mesh, [MAT], law, _uniform_t0(mesh))
         with monkeypatch.context() as mp:
             mp.setattr(solver_module, "ACTIVESET_MAX", activeset_max)
+            if instrument is not None:
+                instrument(mp, solver)
             out.append(solver.solve_step(solver.initial_state(), cell_dp,
                                          np.zeros(mesh.interfaces.count), jump_ok=jump_ok))
     return out
@@ -483,6 +486,69 @@ def test_sweep_and_jump_paths_agree_at_slip_onset(monkeypatch):
                                                     np.where(left, -2.0e6, 0.0))
     np.testing.assert_array_equal(jumped.status, swept.status)
     np.testing.assert_allclose(jumped.slip_acc, swept.slip_acc, rtol=1e-8)
+
+
+def test_solve_step_keeps_the_benchmark_tracer_contract(monkeypatch):
+    # the benchmark counts one step per StepInfo() built with no arguments
+    # and times the solver instance's _jump_search attribute
+    real_info = solver_module.StepInfo
+    fresh, searches = [], []
+
+    def record_info(*args, **kwargs):
+        info = real_info(*args, **kwargs)
+        if not args and not kwargs:
+            fresh[-1].append(info)
+        return info
+
+    def instrument(mp, solver):
+        real_search = solver._jump_search
+        fresh.append([])
+        searches.append(0)
+
+        def traced_search(*args, **kwargs):
+            searches[-1] += 1
+            return real_search(*args, **kwargs)
+
+        mp.setattr(solver_module, "StepInfo", record_info)
+        mp.setattr(solver, "_jump_search", traced_search)
+
+    mesh = _mesh_two_columns(nz=4)
+    left = mesh.cell_centroids()[:, 0] < 1.0
+    paths = _sweep_and_jump_paths(monkeypatch, mesh, WEAK, np.where(left, -4.0e6, 0.0),
+                                  instrument)
+    assert [len(infos) for infos in fresh] == [1, 1]
+    assert all(infos[0] is info for infos, (_, info) in zip(fresh, paths))
+    assert searches == [0, 1]
+    assert [info.jump_events for _, info in paths] == [0, 1]
+
+
+def test_revisited_partition_fails_the_step(monkeypatch):
+    # a classification that toggles one element between stick and open: no
+    # stick/slip toggle, so nothing is pinned and the second sweep revisits
+    # the start partition
+    mesh = _mesh_two_columns(nz=3)
+    solver = ContactSolver(mesh, [MAT], STRONG, _uniform_t0(mesh))
+    state = solver.initial_state()
+    assert np.all(state.status == STICK)
+
+    def toggling(prev_status, *args):
+        status = np.full(prev_status.shape, STICK)
+        status[0] = OPEN if prev_status[0] == STICK else STICK
+        return status
+
+    real_newton = solver._newton
+    passes = []
+
+    def counted_newton(*args):
+        passes.append(args[1].copy())
+        return real_newton(*args)
+
+    monkeypatch.setattr(solver_module, "classify_all", toggling)
+    monkeypatch.setattr(solver, "_newton", counted_newton)
+    with pytest.raises(SolverError, match="active set cycling between partitions"):
+        solver.solve_step(state, np.zeros(mesh.n_cells), np.zeros(mesh.interfaces.count))
+    assert len(passes) == 2
+    assert passes[1][0] == OPEN
 
 
 def test_march_records_and_determinism():
