@@ -259,10 +259,12 @@ def assemble_system(ops: InterfaceOps, g_stab, t_loc, *, status, g_t_prev,
       open:  all three traction components scaled by l_ref/p_ref.
     Every row depends on its own element's (g_stab, t) only, so both
     Jacobian blocks are block diagonal; with g_stab = g0 - (W - L) dt the
-    Newton matrix is E - D (W - L).
+    Newton matrix is E - D (W - L).  For the same reason the rows may stack
+    several copies of the interface: m is the number of traction rows, and
+    only l_ref is read from ops.
     """
-    m = ops.count
-    t_loc = np.asarray(t_loc, dtype=float).reshape(m, 3)
+    t_loc = np.asarray(t_loc, dtype=float).reshape(-1, 3)
+    m = t_loc.shape[0]
     g_stab = np.asarray(g_stab, dtype=float).reshape(m, 3)
     k_scale = ops.l_ref / tols.p_ref
 

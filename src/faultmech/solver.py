@@ -33,8 +33,8 @@ g0 and, once it converges, one more to record u at its tractions,
 however often it bisects: a substep's start jumps are the converged
 start state's jumps plus its share of the step's load response (the bulk
 is linear), so they need no solve.  Every Newton iterate, line-search
-trial, sweep and snap-search partition works on the dense interface
-system only.  The Newton direction solves
+trial and sweep works on the dense interface system only.  The Newton
+direction solves
 (E - D (W - L)) dt = -r_t, with D and E per-element 3x3 blocks.  Set-up
 LU-factors W - L once, raises SolverError when its estimated reciprocal
 condition is below machine epsilon, and keeps its inverse.  The stick
@@ -44,6 +44,14 @@ rows per slip element, three per open one): O(3m r) to gather their rows
 of the inverse, two mat-vecs with the inverse and O(r^3), instead of
 O((3m)^3).  A residual check guards the direction, and an
 inaccurate solve raises SolverError.
+
+The snap-event search tries the 3^k stick / slip-forward / slip-backward
+partitions of k <= JUMP_MAX_SUPPORT contended elements, all from the
+same start tractions.  A row and its D and E blocks depend on its own
+element alone, so the partitions share every row outside the k elements.
+The search eliminates those rows once, leaving one 3k x 3k system per
+partition, and takes the partitions' Newton steps JUMP_BLOCK at a time in
+stacked solves, mat-muls and one stacked residual assembly.
 
 A solver is built from the model alone, ContactSolver(mesh, materials,
 law, t0_loc).  Its Newton, line-search, active-set and bisection controls
@@ -96,6 +104,8 @@ class SolverError(RuntimeError):
 
 # widest contention a snap-event search will enumerate (3^n partitions)
 JUMP_MAX_SUPPORT = 6
+# snap-event partitions solved together in one stacked block
+JUMP_BLOCK = 3**4
 
 # right-hand-side columns per sparse solve when building W at set-up
 SCHUR_CHUNK = 64
@@ -183,8 +193,26 @@ def _partition_key(status, d_ref, frozen_slip):
 
 
 def _blockmul(blocks, x):
-    """Block-diagonal (m, 3, 3) blocks times a stacked (3m,) vector."""
-    return np.einsum("eab,eb->ea", blocks, x.reshape(-1, 3)).ravel()
+    """Block-diagonal (..., m, 3, 3) blocks times stacked (..., 3m) vectors."""
+    return np.einsum("...eab,...eb->...ea", blocks, x.reshape(blocks.shape[:-1])).reshape(x.shape)
+
+
+def _jump_rows(d_block, e_block):
+    """Flags the stacked rows of E - D (W - L) that are rows of -(W - L):
+    a unit D row and a zero E row (every stick row, every slip normal row)."""
+    return (np.all(d_block == np.eye(3), axis=-1) & ~np.any(e_block, axis=-1)).ravel()
+
+
+def _solve_ok(d_block, e_block, r_t, dt, w_dt):
+    """Residual check of Newton directions dt (..., 3m) against
+    E - D (W - L), w_dt = (W - L) dt; one verdict per direction."""
+    dd = _blockmul(d_block, w_dt)
+    et = _blockmul(e_block, dt)
+    res = np.linalg.norm(et - dd + r_t, axis=-1)
+    scale = np.max([np.linalg.norm(x, axis=-1) for x in (dd, et, r_t)], axis=0)
+    # absolute floor: a solve residual two decades below the convergence
+    # tolerance cannot change any convergence decision
+    return res <= LINEAR_TOL * np.maximum(scale, 1e-300) + 1e-2 * GAP_ATOL
 
 
 class ContactSolver:
@@ -294,17 +322,9 @@ class ContactSolver:
         the r x r factor; an all-stick iterate is the two mat-vecs alone.
         """
         m = self.ops.count
-        jump = (np.all(sys.d_block == np.eye(3), axis=2)
-                & ~np.any(sys.e_block, axis=2)).ravel()
+        jump = _jump_rows(sys.d_block, sys.e_block)
         rest = np.flatnonzero(~jump)
-        d_rows = sys.d_block.reshape(3 * m, 3)
-        e_rows = sys.e_block.reshape(3 * m, 3)
-        # y = Y - D_R (r x 3m); the E and D rows of an R row touch only its
-        # own element's three columns, so a row of Y is three rows of the
-        # inverse weighted by its E entries
-        cols = 3 * (rest // 3)[:, None] + np.arange(3)
-        y = np.einsum("ik,ikj->ij", e_rows[rest], self.w_inv[cols])
-        y[np.arange(rest.size)[:, None], cols] -= d_rows[rest]
+        y = self._rest_rows(sys.d_block, sys.e_block, rest)
         y_j = y[:, jump]
         rr_lu = dla.lu_factor(y[:, rest], check_finite=False)
 
@@ -318,18 +338,20 @@ class ContactSolver:
         # one step of iterative refinement on the full Newton system
         dt += solve(-sys.r_t - _blockmul(sys.e_block, dt)
                     + _blockmul(sys.d_block, self.w_stab @ dt))
-        if not self._solve_ok(sys, dt):
+        if not _solve_ok(sys.d_block, sys.e_block, sys.r_t, dt, self.w_stab @ dt):
             raise SolverError("interface solve failed the residual check")
         return dt
 
-    def _solve_ok(self, sys, dt):
-        dd = _blockmul(sys.d_block, self.w_stab @ dt)
-        et = _blockmul(sys.e_block, dt)
-        res = np.linalg.norm(et - dd + sys.r_t)
-        scale = max(np.linalg.norm(dd), np.linalg.norm(et), np.linalg.norm(sys.r_t), 1e-300)
-        # absolute floor: a solve residual two decades below the convergence
-        # tolerance cannot change any convergence decision
-        return res <= LINEAR_TOL * scale + 1e-2 * GAP_ATOL
+    def _rest_rows(self, d_block, e_block, rows):
+        """The given stacked rows of E (W - L)^-1 - D, (rows.size, 3m).
+
+        The E and D rows of a row touch only its own element's three
+        columns, so a row of E (W - L)^-1 is three rows of the inverse
+        weighted by its E entries."""
+        cols = 3 * (rows // 3)[:, None] + np.arange(3)
+        y = np.einsum("ik,ikj->ij", e_block.reshape(-1, 3)[rows], self.w_inv[cols])
+        y[np.arange(rows.size)[:, None], cols] -= d_block.reshape(-1, 3)[rows]
+        return y
 
     # ------------------------------------------------------------------
 
@@ -506,14 +528,18 @@ class ContactSolver:
     def _jump_search(self, state, contended, t_now, g0):
         """Enumerate partitions of the contended elements for a snap event.
 
-        Every combination of stick / slip-forward / slip-backward over the
-        contended set is solved with the partition frozen; a combination
-        counts when every stick row ends inside the friction cone, every
-        slip row dissipates along its enforced direction, and no closed
-        row turns tensile.  Among those the one with the smallest largest
-        slip increment is returned: the nearest equilibrium, matching how
-        the rigid benchmark resolves a snap.  Combinations are capped, so
-        a very wide contention returns None and the step fails upward.
+        The set searched is the contended elements that are not open, or,
+        past JUMP_MAX_SUPPORT of them, the JUMP_MAX_SUPPORT with the highest
+        utilization |t_t| / capacity at t_now.  Every combination of
+        stick / slip-forward / slip-backward over that set is solved from
+        the start tractions with the partition frozen (`_partition_scores`);
+        a combination counts when every stick row ends inside the friction
+        cone, every slip row dissipates along its enforced direction, and
+        no closed row turns tensile.  Among those the one with the smallest
+        largest slip increment is returned as (status, d_ref), the first in
+        `itertools.product` order on a tie: the nearest equilibrium,
+        matching how the rigid benchmark resolves a snap.  None when no
+        combination counts.
         """
         idx = np.nonzero(contended & (state.status != OPEN))[0]
         if idx.size == 0:
@@ -526,42 +552,162 @@ class ContactSolver:
 
         dirs, _, _ = regularized_directions(t_now[idx, 1:], state.d_ref[idx])
 
-        best = None
-        best_score = np.inf
-        for combo in itertools.product((0, 1, 2), repeat=idx.size):
-            status_c = state.status.copy()
-            d_c = state.d_ref.copy()
-            for k, choice in enumerate(combo):
-                e = idx[k]
-                if choice == 0:
-                    status_c[e] = STICK
-                else:
-                    status_c[e] = SLIP
-                    d_c[e] = dirs[k] if choice == 1 else -dirs[k]
-            try:
-                t_c, sys_c, _, _ = self._newton(state.t_loc, status_c, d_c, state, g0)
-            except SolverError:
-                continue
-            ds_c = np.hypot(sys_c.dg_slip[:, 0], sys_c.dg_slip[:, 1])
+        # choice 0 sticks an element of idx, 1 slips it along dirs, 2 against
+        status3 = np.repeat(state.status[None], 3, axis=0)
+        status3[:, idx] = np.array([STICK, SLIP, SLIP])[:, None]
+        d_ref3 = np.repeat(state.d_ref[None], 3, axis=0)
+        d_ref3[1, idx] = dirs
+        d_ref3[2, idx] = -dirs
+        combos = np.array(list(itertools.product((0, 1, 2), repeat=idx.size)))
+        scores = self._partition_scores(state, g0, idx, status3, d_ref3, combos)
+        j = int(np.argmin(scores))
+        if scores[j] == np.inf:
+            return None
+        choice = np.zeros(self.ops.count, dtype=np.intp)
+        choice[idx] = combos[j]
+        pick = (choice, np.arange(self.ops.count))
+        return status3[pick], d_ref3[pick]
+
+    def _partition_scores(self, state, g0, idx, status3, d_ref3, combos):
+        """Score of every partition of `_jump_search`, inf where it does not count.
+
+        Row c of status3 and d_ref3 is the partition with choice c on every
+        element of idx; row p of combos picks a choice per element of idx.
+        The score is the partition's largest slip increment.  A row and its
+        D and E blocks depend on its own element's status and d_ref alone,
+        so every partition's residual and blocks are gathers from the three
+        assemblies of the rows of status3 and d_ref3, and the rows outside
+        idx, the same in every partition, are eliminated once
+        (`_partition_directions`).  JUMP_BLOCK partitions at a time then
+        take their full Newton step, every trial is evaluated in one stacked
+        assembly, and `_newton`'s stop applies.  Under constant friction a
+        held partition is affine in t, so that step stops it; one that does
+        not stop (slip weakening, a normal traction that changes sign) runs
+        `_newton` as the sweeps do, and one whose system is exactly singular
+        does not count.
+        """
+        m = self.ops.count
+        sys3 = [self._assemble(state.t_loc, status3[c], d_ref3[c], state, g0, True)
+                for c in range(3)]
+        r3 = np.stack([sys_c.r_t.reshape(m, 3) for sys_c in sys3])
+        d3 = np.stack([sys_c.d_block for sys_c in sys3])
+        e3 = np.stack([sys_c.e_block for sys_c in sys3])
+        directions = self._partition_directions(idx, sys3[0].r_t, d3[0], e3[0])
+
+        scores = []
+        for c0 in range(0, len(combos), JUMP_BLOCK):
+            choice = np.zeros((min(JUMP_BLOCK, len(combos) - c0), m), dtype=np.intp)
+            choice[:, idx] = combos[c0:c0 + JUMP_BLOCK]
+            n = len(choice)
+            pick = (choice, np.arange(m))
+            status_c, d_c = status3[pick], d_ref3[pick]
+            r, d_blk, e_blk = r3[pick].reshape(n, -1), d3[pick], e3[pick]
+
+            # `_newton` from the start tractions: a start residual within
+            # GAP_ATOL stops at once, any other after its full first step
+            # when that step reduces the residual to within GAP_ATOL
+            zero = np.max(np.abs(r), axis=1) <= GAP_ATOL
+            dt, w_dt, solved = directions(r, d_blk, e_blk)
+            dt[zero] = w_dt[zero] = 0.0
+            t_c = state.t_loc + dt.reshape(n, m, 3)
+            trial = assemble_system(
+                self.ops, g0 - w_dt, t_c, status=status_c.ravel(),
+                g_t_prev=np.tile(state.g_loc[:, 1:], (n, 1)),
+                slip_acc_prev=np.tile(state.slip_acc, n), d_ref=d_c.reshape(-1, 2),
+                law=self.law, tols=self.tols, want_jacobian=False)
+            r_try = trial.r_t.reshape(n, -1)
+            dg_c = trial.dg_slip.reshape(n, m, 2)
+            found = zero | (solved & _solve_ok(d_blk, e_blk, r, dt, w_dt)
+                            & (np.linalg.norm(r_try, axis=1)
+                               <= (1.0 - 1e-4) * np.linalg.norm(r, axis=1))
+                            & (np.max(np.abs(r_try), axis=1) <= GAP_ATOL))
+            for p in np.flatnonzero(solved & ~found):
+                try:
+                    t_p, sys_p, _, _ = self._newton(state.t_loc, status_c[p], d_c[p], state, g0)
+                except SolverError:
+                    continue
+                t_c[p], dg_c[p], found[p] = t_p, sys_p.dg_slip, True
+
+            ds_c = np.hypot(dg_c[..., 0], dg_c[..., 1])
             slipping = status_c == SLIP
-            caps_c = tau_max(self.law, t_c[:, 0],
+            caps_c = tau_max(self.law, t_c[..., 0],
                              state.slip_acc + np.where(slipping, ds_c, 0.0))
-            tts_c = np.hypot(t_c[:, 1], t_c[:, 2])
-            stick_rows = status_c == STICK
-            if np.any(tts_c[stick_rows]
-                      > caps_c[stick_rows] * (1.0 + self.tols.tol_tau)):
-                continue
-            dots = np.einsum("ij,ij->i", sys_c.dg_slip, d_c)
-            if np.any(dots[slipping] < -1e-15):
-                continue
-            closed = status_c != OPEN
-            if np.any(t_c[closed, 0] > self.tols.tol_t * self.tols.p_ref):
-                continue
-            score = float(np.max(ds_c, initial=0.0))
-            if score < best_score:
-                best_score = score
-                best = (status_c, d_c)
-        return best
+            outside_cone = ((status_c == STICK) & (np.hypot(t_c[..., 1], t_c[..., 2])
+                                                   > caps_c * (1.0 + self.tols.tol_tau)))
+            backward = slipping & (np.einsum("pij,pij->pi", dg_c, d_c) < -1e-15)
+            tensile = (status_c != OPEN) & (t_c[..., 0] > self.tols.tol_t * self.tols.p_ref)
+            valid = found & ~np.any(outside_cone | backward | tensile, axis=1)
+            scores.append(np.where(valid, np.max(ds_c, axis=1, initial=0.0), np.inf))
+        return np.concatenate(scores)
+
+    def _partition_directions(self, idx, r_t, d_block, e_block):
+        """Newton directions of partitions that differ only on the elements idx.
+
+        r_t, d_block and e_block are one such partition's rows: its rows
+        outside idx are those of every other.  With v = (W - L) dt and
+        right-hand side b, the outside jump rows J read v_J = -b_J, as in
+        `_linear_solve`, and the outside rest rows R read
+        Y_J v_J + Y_R v_R + Y_I v_I = b_R, with Y = E_R (W - L)^-1 - D_R.
+        One LU of Y_R serves every partition: v_R = a - Y_R^-1 Y_I v_I with
+        a = Y_R^-1 (b_R - Y_J v_J).  Then
+
+            dt = (W - L)^-1 (v_J, a, 0) + N v_I,  N = (W - L)^-1 (0, -Y_R^-1 Y_I, I),
+
+        and the 3k rows of idx read (E_I N_I - D_I) v_I = b_I - E_I dt_I(v_I = 0),
+        one 3k x 3k system per partition, E_I and D_I its blocks on idx.
+        Every partition's first right-hand side -r_t is the same outside
+        idx, so its (W - L)^-1 (v_J, a, 0) is one mat-vec per search.
+
+        Returns directions(r, d_blk, e_blk) -> (dt, w_dt, solved): for
+        stacked residuals r (n, 3m) and blocks (n, m, 3, 3), the directions
+        dt (n, 3m) of (E - D (W - L)) dt = -r with `_linear_solve`'s one step
+        of iterative refinement, and w_dt = (W - L) dt.  solved is False,
+        and dt and w_dt are zero, where E_I N_I - D_I is exactly singular.
+        """
+        inside = (3 * idx[:, None] + np.arange(3)).ravel()
+        outside = np.ones(3 * self.ops.count, dtype=bool)
+        outside[inside] = False
+        jump_rows = _jump_rows(d_block, e_block)
+        jump = np.flatnonzero(jump_rows & outside)
+        rest = np.flatnonzero(~jump_rows & outside)
+        y = self._rest_rows(d_block, e_block, rest)
+        y_lu = dla.lu_factor(y[:, rest], check_finite=False)
+        y_j = y[:, jump]
+        n_in = (self.w_inv[:, inside] - self.w_inv[:, rest]
+                @ dla.lu_solve(y_lu, y[:, inside], check_finite=False))
+        w_n_in = self.w_stab @ n_in
+        n_ii = n_in[inside].reshape(idx.size, 3, inside.size)
+        rows = np.arange(inside.size)
+        cols = 3 * (rows // 3)[:, None] + np.arange(3)
+
+        def solve(b, b_in, e_in, a_in):
+            # b's rows outside idx, stacked or one row for all; b_in its rows on idx
+            v = np.zeros_like(b)
+            v[:, jump] = -b[:, jump]
+            v[:, rest] = dla.lu_solve(y_lu, (b[:, rest] - v[:, jump] @ y_j.T).T,
+                                      check_finite=False).T
+            dt_out = v @ self.w_inv.T
+            rhs = b_in - _blockmul(e_in, np.broadcast_to(dt_out[:, inside], b_in.shape))
+            v_in = np.linalg.solve(a_in, rhs[..., None])[..., 0]
+            return dt_out + v_in @ n_in.T, dt_out @ self.w_stab.T + v_in @ w_n_in.T
+
+        def directions(r, d_blk, e_blk):
+            e_in = e_blk[:, idx]
+            a_in = np.einsum("pkab,kbc->pkac", e_in, n_ii).reshape(len(r), rows.size, -1)
+            a_in[:, rows[:, None], cols] -= d_blk[:, idx].reshape(len(r), -1, 3)
+            solved = np.linalg.slogdet(a_in)[0] != 0.0
+            dt = np.zeros(r.shape)
+            w_dt = np.zeros(r.shape)
+            r, d_blk, e_blk, e_in, a_in = (x[solved] for x in (r, d_blk, e_blk, e_in, a_in))
+            step, w_step = solve(-r_t[None], -r[:, inside], e_in, a_in)
+            # one step of iterative refinement on the full Newton system
+            b = -r - _blockmul(e_blk, step) + _blockmul(d_blk, w_step)
+            fix, w_fix = solve(b, b[:, inside], e_in, a_in)
+            dt[solved] = step + fix
+            w_dt[solved] = w_step + w_fix
+            return dt, w_dt, solved
+
+        return directions
 
     # ------------------------------------------------------------------
 

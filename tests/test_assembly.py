@@ -369,6 +369,34 @@ def test_jacobian_matches_finite_differences():
     assert worst <= 1e-5, f"max relative Jacobian error {worst:.3e}"
 
 
+def test_stacked_interface_copies_assemble_as_each_copy():
+    # every row depends on its own element alone, so copies of the interface
+    # with their own partitions and iterates assemble in one call: m is the
+    # number of traction rows, not ops.count
+    mesh = _two_block_mesh(ny=2, nz=2)
+    ops = interface_blocks(mesh)
+    copies = [_state_for(mesh, statuses, seed) for statuses, seed in
+              (([STICK, SLIP, OPEN, SLIP], 2), ([SLIP, STICK, SLIP, OPEN], 3))]
+    g_stab = [np.random.default_rng(seed).normal(scale=1e-4, size=3 * ops.count)
+              for seed in (4, 5)]
+    names = ("t_loc", "status", "g_t_prev", "slip_acc_prev", "d_ref")
+    args = [dict(zip(names, [t, status, g_t_prev, slip_acc, d_ref]))
+            for _, t, status, g_t_prev, slip_acc, d_ref, _ in copies]
+
+    def assemble(g, a):
+        return assemble_system(ops, g, a["t_loc"], status=a["status"], g_t_prev=a["g_t_prev"],
+                               slip_acc_prev=a["slip_acc_prev"], d_ref=a["d_ref"],
+                               law=LAW, tols=TOLS)
+
+    single = [assemble(g, a) for g, a in zip(g_stab, args)]
+    stacked = assemble(np.concatenate(g_stab),
+                       {k: np.concatenate([a[k] for a in args]) for k in names})
+    for name in ("r_t", "d_block", "e_block", "dg_slip"):
+        np.testing.assert_allclose(getattr(stacked, name),
+                                   np.concatenate([getattr(s, name) for s in single]),
+                                   rtol=1e-14, atol=0.0, err_msg=name)
+
+
 def test_uniform_increment_equilibrates_interior():
     # linear displacement field + matching traction increment: residual must
     # vanish at every interior node, split interface pairs included

@@ -1,9 +1,11 @@
 """Quasi-static stepping: Newton, active set, linear solve, marching."""
 from __future__ import annotations
 
+import itertools
 import tracemalloc
 import warnings
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -520,6 +522,210 @@ def test_solve_step_keeps_the_benchmark_tracer_contract(monkeypatch):
     assert all(infos[0] is info for infos, (_, info) in zip(fresh, paths))
     assert searches == [0, 1]
     assert [info.jump_events for _, info in paths] == [0, 1]
+
+
+MU03 = FrictionLaw("constant", 0.3, 0.3, 1.0, 1.0e3)
+
+
+def _left_depletion(mesh, dp):
+    return np.where(mesh.cell_centroids()[:, 0] < 1.0, dp, 0.0)
+
+
+def _forced_jump_step(monkeypatch, solver, cell_dp, search=None):
+    """One step from the initial state with the snap retry forced after a
+    single sweep, as in _sweep_and_jump_paths.  Returns the arguments, the
+    pick, the partition scores and the _newton calls of its one jump search,
+    and the step's state.  search, if given, stands in for the instance's
+    _jump_search."""
+    newton, scores, searches = [], [], []
+    real_newton = solver._newton
+    real_scores = solver._partition_scores
+    real_search = search or solver._jump_search
+
+    def counted_newton(*args):
+        newton.append(args)
+        return real_newton(*args)
+
+    def kept_scores(*args):
+        scores.append(real_scores(*args))
+        return scores[-1]
+
+    def captured(*args):
+        before = len(newton)
+        pick = real_search(*args)
+        searches.append(SimpleNamespace(args=args, pick=pick,
+                                        scores=scores[-1] if scores else None,
+                                        newton_calls=len(newton) - before))
+        return pick
+
+    with monkeypatch.context() as mp:
+        mp.setattr(solver_module, "ACTIVESET_MAX", 1)
+        mp.setattr(solver, "_newton", counted_newton)
+        mp.setattr(solver, "_partition_scores", kept_scores)
+        mp.setattr(solver, "_jump_search", captured)
+        state, _ = solver.solve_step(solver.initial_state(), cell_dp,
+                                     np.zeros(solver.ops.count), jump_ok=True)
+    assert len(searches) == 1
+    searches[0].state = state
+    return searches[0]
+
+
+def _enumerated_jump_search(solver, state, contended, t_now, g0):
+    """The snap-event search one partition at a time: each combination runs
+    its own _newton.  Returns the pick and every partition's score, inf
+    where the partition does not count."""
+    idx = np.nonzero(contended & (state.status != OPEN))[0]
+    if idx.size > solver_module.JUMP_MAX_SUPPORT:
+        caps_now = tau_max(solver.law, t_now[:, 0], state.slip_acc)
+        ratio = np.hypot(t_now[idx, 1], t_now[idx, 2]) / np.maximum(caps_now[idx], 1e-30)
+        order = np.argsort(-ratio, kind="stable")
+        idx = np.sort(idx[order[:solver_module.JUMP_MAX_SUPPORT]])
+    dirs = solver_module.regularized_directions(t_now[idx, 1:], state.d_ref[idx])[0]
+    best, best_score, scores = None, np.inf, []
+    for combo in itertools.product((0, 1, 2), repeat=idx.size):
+        scores.append(np.inf)
+        status_c = state.status.copy()
+        d_c = state.d_ref.copy()
+        for k, choice in enumerate(combo):
+            status_c[idx[k]] = STICK if choice == 0 else SLIP
+            if choice:
+                d_c[idx[k]] = dirs[k] if choice == 1 else -dirs[k]
+        try:
+            t_c, sys_c, _, _ = solver._newton(state.t_loc, status_c, d_c, state, g0)
+        except SolverError:
+            continue
+        ds_c = np.hypot(sys_c.dg_slip[:, 0], sys_c.dg_slip[:, 1])
+        slipping = status_c == SLIP
+        caps_c = tau_max(solver.law, t_c[:, 0], state.slip_acc + np.where(slipping, ds_c, 0.0))
+        stick_rows = status_c == STICK
+        if np.any(np.hypot(t_c[stick_rows, 1], t_c[stick_rows, 2])
+                  > caps_c[stick_rows] * (1.0 + solver.tols.tol_tau)):
+            continue
+        if np.any(np.einsum("ij,ij->i", sys_c.dg_slip, d_c)[slipping] < -1e-15):
+            continue
+        if np.any(t_c[status_c != OPEN, 0] > solver.tols.tol_t * solver.tols.p_ref):
+            continue
+        scores[-1] = float(np.max(ds_c, initial=0.0))
+        if scores[-1] < best_score:
+            best_score, best = scores[-1], (status_c, d_c)
+    return best, np.array(scores)
+
+
+# (nz, law, left-column dp, partitions, valid partitions)
+JUMP_CASES = [
+    (4, WEAK, -4.0e6, 9, 1),
+    (3, MU03, -2.0e6, 729, 93),
+    (4, WEAK, -6.0e6, 729, 13),
+    # slip weakening: every held partition but one continues in _newton
+    (3, FrictionLaw("arctan", 0.3, 0.1, 1e-4, 1e3), -2.0e6, 729, 156),
+]
+
+
+@pytest.mark.parametrize("nz, law, dp, partitions, valid", JUMP_CASES,
+                         ids=["weak-4MPa", "mu03-2MPa", "weak-6MPa", "arctan-2MPa"])
+def test_batched_jump_search_matches_the_enumeration(monkeypatch, nz, law, dp,
+                                                     partitions, valid):
+    mesh = _mesh_two_columns(nz=nz)
+    solver = ContactSolver(mesh, [MAT], law, _uniform_t0(mesh))
+    cell_dp = _left_depletion(mesh, dp)
+    search = _forced_jump_step(monkeypatch, solver, cell_dp)
+    ref, ref_scores = _enumerated_jump_search(solver, *search.args)
+    counts = np.isfinite(ref_scores)
+    assert (ref_scores.size, counts.sum()) == (partitions, valid)
+    np.testing.assert_array_equal(np.isfinite(search.scores), counts)
+    np.testing.assert_allclose(search.scores[counts], ref_scores[counts], rtol=0.0,
+                               atol=1e-9 * ref_scores[counts].max())
+    np.testing.assert_array_equal(search.pick[0], ref[0])
+    np.testing.assert_array_equal(search.pick[1], ref[1])
+    # constant friction stops every partition after its one batched step
+    assert (search.newton_calls > 0) == (law.kind != "constant")
+
+    retried = _forced_jump_step(monkeypatch, solver, cell_dp, lambda *a: ref).state
+    np.testing.assert_allclose(search.state.t_loc, retried.t_loc, rtol=0.0,
+                               atol=1e-12 * np.abs(retried.t_loc).max())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_partition_directions_match_the_single_partition_solve(seed):
+    # outside the three partitioned elements the rows stick, slip and open,
+    # and the weakening law gives the slip rows non-zero D shear blocks
+    law = FrictionLaw("arctan", 0.3, 0.1, 1e-4, 1e3)
+    mesh = _mesh_two_columns(nz=4)
+    solver = ContactSolver(mesh, [MAT], law, _uniform_t0(mesh))
+    m = solver.ops.count
+    rng = np.random.default_rng(seed)
+    idx = np.array([1, 4, 6])
+    status = np.array([SLIP, STICK, OPEN, SLIP, STICK, OPEN, STICK, SLIP])
+    t = solver.t0 + rng.normal(scale=1.0e5, size=(m, 3))
+    ang = rng.uniform(0.0, 2.0 * np.pi, m)
+    d_ref = np.column_stack([np.cos(ang), np.sin(ang)])
+    rows = dict(g_t_prev=rng.normal(scale=1.0e-4, size=(m, 2)),
+                slip_acc_prev=rng.uniform(0.0, 2.0 * law.dc, m), law=law, tols=solver.tols)
+    g_stab = rng.normal(scale=1.0e-4, size=3 * m)
+    systems = []
+    for combo in itertools.product((0, 1, 2), repeat=idx.size):
+        status_c, d_c = status.copy(), d_ref.copy()
+        status_c[idx] = np.where(np.array(combo) == 0, STICK, SLIP)
+        d_c[idx] = np.where((np.array(combo) == 2)[:, None], -d_ref[idx], d_ref[idx])
+        systems.append(assemble_system(solver.ops, g_stab, t, status=status_c, d_ref=d_c, **rows))
+    r = np.stack([s.r_t for s in systems])
+    d_blk = np.stack([s.d_block for s in systems])
+    e_blk = np.stack([s.e_block for s in systems])
+    directions = solver._partition_directions(idx, r[0], d_blk[0], e_blk[0])
+    dt, w_dt, solved = directions(r, d_blk, e_blk)
+    assert solved.all()
+    for p, sys in enumerate(systems):
+        ref = solver._linear_solve(sys)
+        assert np.abs(dt[p] - ref).max() <= 1e-10 * np.abs(ref).max()
+        assert np.abs(w_dt[p] - solver.w_stab @ dt[p]).max() <= 1e-12 * np.abs(w_dt[p]).max()
+
+
+def _counted(monkeypatch, owner, name, log):
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        log.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
+def test_jump_search_cost_does_not_scale_with_its_partitions(monkeypatch):
+    mesh = _mesh_two_columns(nz=3)
+    solver = ContactSolver(mesh, [MAT], MU03, _uniform_t0(mesh))
+    args = _forced_jump_step(monkeypatch, solver, _left_depletion(mesh, -2.0e6)).args
+    assembled, newton = [], []
+    _counted(monkeypatch, solver_module, "assemble_system", assembled)
+    _counted(monkeypatch, solver, "_newton", newton)
+    assert solver._jump_search(*args) is not None
+    blocks = -(-3**6 // solver_module.JUMP_BLOCK)
+    assert newton == []
+    assert 0 < len(assembled) <= 3 + blocks
+
+
+def test_jump_search_enumerates_the_most_utilized_contended_elements(monkeypatch):
+    # six contended elements; with a support of two, the 3^2 partitions of
+    # the two with the highest |t_t| / capacity at the failed pass's tractions
+    mesh = _mesh_two_columns(nz=3)
+    m = mesh.interfaces.count
+    solver = ContactSolver(mesh, [MAT], MU03, _uniform_t0(mesh))
+    state, contended, t_now, g0 = _forced_jump_step(
+        monkeypatch, solver, _left_depletion(mesh, -2.0e6)).args
+    assert np.all(contended & (state.status != OPEN))
+    ratio = (np.hypot(t_now[:, 1], t_now[:, 2])
+             / tau_max(MU03, t_now[:, 0], state.slip_acc))
+    top = np.sort(np.argsort(-ratio, kind="stable")[:2])
+
+    assembled = []
+    _counted(monkeypatch, solver_module, "assemble_system", assembled)
+    monkeypatch.setattr(solver_module, "JUMP_MAX_SUPPORT", 2)
+    status, d_ref = solver._jump_search(state, contended, t_now, g0)
+    trials = np.concatenate([kw["status"].reshape(-1, m) for _, kw in assembled
+                             if not kw["want_jacobian"]])
+    assert trials.shape == (9, m)
+    np.testing.assert_array_equal(np.flatnonzero(np.ptp(trials, axis=0)), top)
+    moved = np.flatnonzero((status != state.status) | np.any(d_ref != state.d_ref, axis=1))
+    assert moved.size > 0 and set(moved) <= set(top)
 
 
 def test_revisited_partition_fails_the_step(monkeypatch):
