@@ -48,6 +48,7 @@ __all__ = [
     "dissection_order",
     "geometric_sizes",
     "local_frame",
+    "mirror_maps",
 ]
 
 _GEOM_TOL = 1e-6
@@ -371,6 +372,37 @@ def dissection_order(lattice):
 
     visit(np.arange(lattice.shape[0]), lattice.min(axis=0), lattice.max(axis=0))
     return np.concatenate(order)
+
+
+def mirror_maps(mesh, free):
+    """Node maps of the mirror planes x = mid and y = mid that the mesh admits.
+
+    A cell's mirror is the cell at the mirrored lattice index, and its
+    corners give the node map, so split twins on a mirror plane map onto
+    each other.  An axis is kept only when that map is well defined, the
+    points mirror bit for bit about the mid-plane of ``bounds``, the
+    regions match and ``free`` (one flag per dof, three per node) is
+    invariant.  Returns {axis: node map}, axis 0 for x and 1 for y.
+    """
+    nx, ny, nz = mesh.lattice.max(axis=0)
+    cells = np.arange(mesh.n_cells).reshape(nz, ny, nx)
+    free = np.asarray(free).reshape(-1, 3)
+    maps = {}
+    for axis in (0, 1):
+        cell_map = np.flip(cells, axis=2 - axis).ravel()
+        corners = np.array(_HEX_CORNERS)
+        corners[:, axis] = 1 - corners[:, axis]
+        image = mesh.hexes[cell_map][:, _CORNER_ID[tuple(corners.T)]]
+        node_map = np.empty(mesh.n_nodes, dtype=np.int64)
+        node_map[mesh.hexes] = image
+        mirrored = mesh.points.copy()
+        mirrored[:, axis] = mesh.bounds[:, axis].sum() - mirrored[:, axis]
+        if (np.array_equal(node_map[mesh.hexes], image)
+                and np.array_equal(mesh.points[node_map], mirrored)
+                and np.array_equal(mesh.regions[cell_map], mesh.regions)
+                and np.array_equal(free[node_map], free)):
+            maps[axis] = node_map
+    return maps
 
 
 def _axis_of(field_value):

@@ -10,16 +10,26 @@ factorization of the reduced stiffness: within a step that starts at
 tractions t_start, the stabilized jumps are
 g_stab = g0 - (W - L) (t - t_start), with g0 the jumps at t_start.
 
-The reduced stiffness K_ff is SPD.  Its free dofs are numbered in the
-geometric nested-dissection order of the mesh lattice
-(mesh.dissection_order over Mesh.lattice, each node's dofs kept
-together), and SuperLU factors it in that order as given, pivoting on the
-diagonal.  Fill then stays in the separator planes, which cuts both the
-factorization and the back-substitutions that build W.  Beyond that factor,
-no set-up workspace grows with the mesh past a fixed block: K is assembled
-in batches of cells (`assembly.stiffness_matrix`), and W is built from
-SCHUR_CHUNK = 64 right-hand-side columns at a time, so its largest
-transient is a few dense n_free x 64 blocks.
+The reduced stiffness K_ff is SPD, and it is factored in an orthonormal
+basis Q of the free dofs (`ContactSolver.basis`) adapted to the mesh's
+mirror planes x = mid and y = mid.  Set-up takes the mirrors that the
+points, regions and roller mask all admit exactly (mesh.mirror_maps); K
+commutes with each of them, so Q^T K_ff Q is block diagonal, one block
+per character of the mirror group (four when both planes mirror).  Each
+block is formed alone, SCHUR_CHUNK basis columns at a time, and the
+cross-block entries, rounding noise, are never formed.  Within a block
+the columns follow the geometric nested-dissection order of the orbit
+representatives (mesh.dissection_order over Mesh.lattice, each node's
+dofs together), and SuperLU factors the block-diagonal matrix in that
+order as given, pivoting on the diagonal; fill then stays in each block's
+separator planes.  With no mirror, Q is that permutation of the free
+dofs.  The load G, jumps J and coupling C are stored in the basis, u is
+mapped back by Q, and W - L and the interface Newton stay in the
+physical element basis.  Beyond that factor, no set-up workspace grows
+with the mesh past a fixed block: K is assembled in batches of cells
+(`assembly.stiffness_matrix`), and W is built from SCHUR_CHUNK = 64
+right-hand-side columns at a time, so its largest transient is a few
+dense n_free x 64 blocks.
 
 Each loading step solves the interface problem alone: an exact Newton
 loop on the tractions with the stick/slip/open partition held fixed, and
@@ -87,7 +97,7 @@ from .contact import (
     regularized_directions,
 )
 from .constitutive import tau_max
-from .mesh import dissection_order
+from .mesh import dissection_order, mirror_maps
 
 __all__ = [
     "ContactSolver",
@@ -107,7 +117,8 @@ JUMP_MAX_SUPPORT = 6
 # snap-event partitions solved together in one stacked block
 JUMP_BLOCK = 3**4
 
-# right-hand-side columns per sparse solve when building W at set-up
+# columns per sparse solve or product at set-up: of C_ff when building W,
+# of the basis when forming Q^T K_ff Q
 SCHUR_CHUNK = 64
 
 # Newton / active-set / linear-solve controls
@@ -215,6 +226,67 @@ def _solve_ok(d_block, e_block, r_t, dt, w_dt):
     return res <= LINEAR_TOL * np.maximum(scale, 1e-300) + 1e-2 * GAP_ATOL
 
 
+def _mirror_basis(lattice, free, maps):
+    """Orthonormal basis Q of the free dofs adapted to a group of mirrors.
+
+    maps is {axis: node map} of commuting mirrors (`mirror_maps`).  They
+    generate a group of signed dof permutations: a mirror across an axis
+    moves each node's dofs to its image node and flips the displacement
+    component along that axis.  A column of Q is the projection of one
+    orbit representative's dof onto one character of the group, normalized;
+    a zero projection gives no column.  An orbit's representative is its
+    lowest node id in the upper quarter, 2 i_axis >= max i_axis on every
+    mirrored axis (twins on a mirror plane share their indices).
+
+    Returns (basis, sizes): basis is (n_free, n_free) CSC, its rows the free
+    dofs in index order, its columns one block per character with sizes[c]
+    columns, each block in the nested-dissection order of the representatives.
+    An operator that commutes with every mirror is block diagonal in Q.
+    With no mirror, Q is the nested-dissection permutation, one 1.0 per
+    column.
+    """
+    axes = sorted(maps)
+    images = [np.arange(lattice.shape[0])]
+    for a in axes:
+        images += [maps[a][im] for im in images]
+    orbit = np.stack(images, axis=1)  # image under group element s; bit b of s flips axes[b]
+    bits = (np.arange(orbit.shape[1])[:, None] >> np.arange(len(axes))) & 1
+    top = lattice[:, axes].max(axis=0)
+    upper = np.all(2 * lattice[:, axes] >= top, axis=1)
+    rep = np.where(upper[orbit], orbit, orbit.shape[0]).min(axis=1)
+    reps = np.flatnonzero(rep == np.arange(rep.size))
+    reps = reps[dissection_order(lattice[reps])]
+    node, comp = np.repeat(reps, 3), np.tile(np.arange(3), reps.size)
+    keep = free[3 * node + comp]
+    node, comp = node[keep], comp[keep]
+    position = np.cumsum(free) - 1
+    rows = position[3 * orbit[node] + comp[:, None]].ravel()
+    cols = np.repeat(np.arange(node.size), orbit.shape[1])
+    # sign of the dof of group element s: -1 per mirror that flips its component
+    flips = np.where(comp[:, None] == np.array(axes, dtype=np.int64), -1.0, 1.0)
+    blocks = []
+    for chi in itertools.product((1.0, -1.0), repeat=len(axes)):
+        factors = np.where(bits[None], (flips * np.array(chi))[:, None], 1.0)
+        q = sparse.csc_matrix((np.prod(factors, axis=2).ravel(), (rows, cols)),
+                              shape=(free.sum(), node.size))
+        q.eliminate_zeros()
+        q = q[:, np.diff(q.indptr) > 0]
+        q.data /= np.repeat(np.sqrt(q.multiply(q).sum(axis=0)).A1, np.diff(q.indptr))
+        blocks.append(q)
+    return sparse.hstack(blocks, format="csc"), [q.shape[1] for q in blocks]
+
+
+def _times_basis(a, basis):
+    """a @ basis for a CSR a over the free dofs, each row's entries ordered
+    by the first free dof of their basis column.  A CSR mat-vec sums a row
+    in stored order, so with a permutation basis the product sums as a
+    itself does."""
+    a = (a @ basis).tocsr()
+    first = basis.indices[basis.indptr[:-1]]
+    order = np.lexsort((first[a.indices], np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))))
+    return sparse.csr_matrix((a.data[order], a.indices[order], a.indptr), shape=a.shape)
+
+
 class ContactSolver:
     """Owns the discrete operators and marches the loading schedule."""
 
@@ -233,18 +305,28 @@ class ContactSolver:
         self.stab = stab_matrix(mesh, cell_young)
 
         free = free_dof_mask(mesh)
-        nodes = dissection_order(mesh.lattice)
-        dofs = (3 * nodes[:, None] + np.arange(3)).ravel()
-        # a permutation, not sorted: the free dofs in nested-dissection node order
-        self.free_idx = dofs[free[dofs]]
+        self.free_idx = np.flatnonzero(free)
+        self.basis, sizes = _mirror_basis(mesh.lattice, free, mirror_maps(mesh, free))
         k_ff = k[self.free_idx][:, self.free_idx].tocsc()
         del k  # only the factor of K_ff is kept
-        # K_ff is SPD: factor in that order as given, pivoting on the diagonal
-        self.lu = splu(k_ff, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
+        # Q^T K_ff Q one diagonal block per character, SCHUR_CHUNK columns at
+        # a time; the cross-block entries are rounding noise, never formed
+        blocks, c0 = [], 0
+        for size in sizes:
+            q = self.basis[:, c0:c0 + size]
+            blocks.append(sparse.hstack([q.T @ (k_ff @ q[:, b0:b0 + SCHUR_CHUNK])
+                                         for b0 in range(0, size, SCHUR_CHUNK)]))
+            c0 += size
         del k_ff
-        self.div_ff = divergence_forces(mesh, self.materials)[self.free_idx]
-        self.j_ff = self.ops.jump_csr[:, self.free_idx].tocsr()
+        # Q^T K_ff Q is SPD: factor in the basis order as given, pivoting on
+        # the diagonal
+        self.lu = splu(sparse.block_diag(blocks, format="csc"), permc_spec="NATURAL",
+                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        del blocks
+        # G, J and C in the basis; G's rows sum in cell order, as G's own do
+        div_f = divergence_forces(mesh, self.materials)[self.free_idx]
+        self.div_ff = (self.basis.T @ div_f).tocsr().sorted_indices()
+        self.j_ff = _times_basis(self.ops.jump_csr[:, self.free_idx], self.basis)
         # C = J^T diag(areas): local traction -> nodal force
         self.c_ff = (self.j_ff.T @ sparse.diags(np.repeat(self.ops.areas, 3))).tocsc()
         n_t = 3 * self.ops.count
@@ -304,7 +386,8 @@ class ContactSolver:
     def _with_u(self, state, f_ff, fault_dp):
         """state with u = K^-1 (f - C t_eff) at its tractions (one sparse solve)."""
         u = np.zeros(3 * self.mesh.n_nodes)
-        u[self.free_idx] = self.lu.solve(f_ff - self.c_ff @ self._t_eff(state.t_loc, fault_dp))
+        b = f_ff - self.c_ff @ self._t_eff(state.t_loc, fault_dp)
+        u[self.free_idx] = self.basis @ self.lu.solve(b)
         return replace(state, u=u)
 
     def _linear_solve(self, sys):

@@ -23,7 +23,14 @@ from faultmech.assembly import (
 )
 from faultmech.constitutive import ElasticMaterial, FrictionLaw, tau_max
 from faultmech.contact import OPEN, SLIP, STICK, kkt_report
-from faultmech.mesh import AxisSegment, DomainSpec, FaultSpec, build_structured_domain
+from faultmech.mesh import (
+    AxisSegment,
+    DomainSpec,
+    FaultSpec,
+    build_structured_domain,
+    dissection_order,
+    mirror_maps,
+)
 from faultmech.pressure import PressureField
 from faultmech.scenario import build_conceptual_model
 from faultmech.solver import ContactSolver, SolverError, StepState
@@ -221,13 +228,15 @@ def test_buried_fault_strong_depletion_converges():
 
 
 def _sorted_order_solver(monkeypatch, mesh, law):
-    """The solver as it factors without the dissection order: free dofs
-    sorted, SuperLU's default column ordering."""
+    """The solver as it factors without the mirror basis and without the
+    dissection order: free dofs sorted, SuperLU's default column ordering."""
     with monkeypatch.context() as mp:
+        mp.setattr(solver_module, "mirror_maps", lambda mesh, free: {})
         mp.setattr(solver_module, "dissection_order", lambda lattice: np.arange(len(lattice)))
         mp.setattr(solver_module, "splu", lambda a, **kwargs: splu(a))
         ref = ContactSolver(mesh, [MAT], law, _uniform_t0(mesh))
     np.testing.assert_array_equal(ref.free_idx, np.flatnonzero(free_dof_mask(mesh)))
+    assert (ref.basis != sparse.eye(ref.free_idx.size)).nnz == 0
     return ref
 
 
@@ -237,8 +246,10 @@ def test_dissection_order_matches_sorted_order_reference(build, slips, monkeypat
     mesh = build()
     solver = ContactSolver(mesh, [MAT], WEAK, _uniform_t0(mesh))
     ref = _sorted_order_solver(monkeypatch, mesh, WEAK)
-    assert not np.array_equal(solver.free_idx, ref.free_idx)
-    np.testing.assert_array_equal(np.sort(solver.free_idx), ref.free_idx)
+    np.testing.assert_array_equal(solver.free_idx, ref.free_idx)
+    # both mirrors: four blocks, not the reference's identity basis
+    assert set(mirror_maps(mesh, free_dof_mask(mesh))) == {0, 1}
+    assert not np.all(solver.basis.data == 1.0)
     scale = np.abs(ref.w_stab).max()
     assert np.abs(solver.w_stab - ref.w_stab).max() <= 1e-12 * scale
 
@@ -429,11 +440,12 @@ def test_setup_workspace_is_bounded():
     """Peak traced allocation while a solver for the r8 scenario is built.
 
     tracemalloc sees numpy's allocations only, not SuperLU's: the bound
-    covers the stiffness assembly, the K_ff extraction, the W build and
-    the dense LU, but not the sparse factor.  The r8 model has 3,456 cells
-    and 3m = 432.  One COO batch of every cell for K and 256-column W
-    blocks peaked at 94.7 MiB.  2,000-cell batches and 64-column blocks
-    peak at 45.0 MiB; one batch alone gives 52 MiB, 256 columns alone 60.
+    covers the stiffness assembly, the K_ff extraction, the blocks of
+    Q^T K_ff Q, the W build and the dense LU, but not the sparse factor.
+    The r8 model has 3,456 cells and 3m = 432.  One COO batch of every
+    cell for K and 256-column W blocks peaked at 94.7 MiB.  2,000-cell
+    batches and 64-column blocks peak at 45.0 MiB; one batch alone gives
+    52 MiB, 256 W columns alone 53.
     """
     model = build_conceptual_model(resolution=8.0)
     mesh = model.mesh
@@ -446,6 +458,99 @@ def test_setup_workspace_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 50 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
+# --- the mirror basis ----------------------------------------------------
+
+
+def test_mirror_maps_are_commuting_involutions(r16_model):
+    mesh = r16_model.mesh
+    maps = mirror_maps(mesh, free_dof_mask(mesh))
+    assert set(maps) == {0, 1}
+    mx, my = maps[0], maps[1]
+    ident = np.arange(mesh.n_nodes)
+    np.testing.assert_array_equal(mx[mx], ident)
+    np.testing.assert_array_equal(my[my], ident)
+    np.testing.assert_array_equal(mx[my], my[mx])
+
+
+def test_mirror_maps_pair_fault_twins(r16_model):
+    iset = r16_model.mesh.interfaces
+    maps = mirror_maps(r16_model.mesh, free_dof_mask(r16_model.mesh))
+    # F3 lies on x = 0: the x mirror swaps each split twin with its twin
+    # and fixes the shared tip and junction nodes
+    f3 = iset.of_fault("F3")
+    assert np.any(iset.top_nodes[f3] != iset.bottom_nodes[f3])
+    np.testing.assert_array_equal(maps[0][iset.top_nodes[f3]], iset.bottom_nodes[f3])
+    np.testing.assert_array_equal(maps[0][iset.bottom_nodes[f3]], iset.top_nodes[f3])
+
+    # F4 and F5 lie on y = -+1000: the y mirror takes F4's elements onto F5's
+    def facets(idx, node_map):
+        nodes = node_map[np.hstack([iset.top_nodes[idx], iset.bottom_nodes[idx]])]
+        nodes = np.sort(nodes, axis=1)
+        return nodes[np.lexsort(nodes.T[::-1])]
+
+    f4, f5 = iset.of_fault("F4"), iset.of_fault("F5")
+    assert f4.size == f5.size > 0
+    ident = np.arange(r16_model.mesh.n_nodes)
+    np.testing.assert_array_equal(facets(f4, maps[1]), facets(f5, ident))
+
+
+def test_mirror_basis_block_diagonalizes_k_ff(r16_model, monkeypatch):
+    m = r16_model
+    solver = ContactSolver(m.mesh, m.materials, m.law, m.t0_local)
+    free = free_dof_mask(m.mesh)
+    basis, sizes = solver_module._mirror_basis(m.mesh.lattice, free, mirror_maps(m.mesh, free))
+    assert len(sizes) == 4 and sum(sizes) == solver.free_idx.size
+    assert (basis != solver.basis).nnz == 0
+    q = solver.basis
+    assert np.abs((q.T @ q - sparse.eye(q.shape[1])).toarray()).max() <= 1e-14
+    k_ff = stiffness_matrix(m.mesh, m.materials)[0][solver.free_idx][:, solver.free_idx]
+    b = (q.T @ k_ff @ q).tocoo()
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    cross = block[b.row] != block[b.col]
+    assert cross.any()
+    assert np.abs(b.data[cross]).max() <= 1e-13 * np.abs(b.data).max()
+    with monkeypatch.context() as mp:
+        mp.setattr(solver_module, "mirror_maps", lambda mesh, free: {})
+        plain = ContactSolver(m.mesh, m.materials, m.law, m.t0_local)
+    assert solver.lu.nnz < 0.6 * plain.lu.nnz
+
+
+def test_regions_that_differ_across_a_mirror_plane_drop_its_map():
+    spec = DomainSpec(
+        x_segments=[AxisSegment(0.0, 2.0, "uniform", 0.5)],
+        y_segments=[AxisSegment(0.0, 1.0, "uniform", 0.5)],
+        z_segments=[AxisSegment(-1.0, 0.0, "uniform", 0.5)],
+        region_fn=lambda c: int(c[0] > 1.0),
+    )
+    mesh = build_structured_domain(spec)
+    free = free_dof_mask(mesh)
+    assert set(mirror_maps(mesh, free)) == {1}
+    mesh.regions[:] = 0
+    assert set(mirror_maps(mesh, free)) == {0, 1}
+
+
+def test_mesh_with_no_mirror_gets_the_dissection_permutation():
+    # a fault off x = mid and a y axis whose grid does not mirror
+    spec = DomainSpec(
+        x_segments=[AxisSegment(0.0, 0.75, "uniform", 0.25),
+                    AxisSegment(0.75, 2.0, "uniform", 0.25)],
+        y_segments=np.array([0.0, 0.3, 1.0]),
+        z_segments=[AxisSegment(-1.0, 0.0, "uniform", 0.25)],
+        faults=[FaultSpec("F", "x", 0.75, 0.0, 1.0, -1.0, 0.0)],
+    )
+    mesh = build_structured_domain(spec)
+    free = free_dof_mask(mesh)
+    assert mirror_maps(mesh, free) == {}
+    solver = ContactSolver(mesh, [MAT], WEAK, _uniform_t0(mesh))
+    nodes = dissection_order(mesh.lattice)
+    dofs = (3 * nodes[:, None] + np.arange(3)).ravel()
+    dofs = dofs[free[dofs]]
+    q = solver.basis
+    np.testing.assert_array_equal(q.indptr, np.arange(dofs.size + 1))
+    np.testing.assert_array_equal(solver.free_idx[q.indices], dofs)
+    assert np.all(q.data == 1.0)
 
 
 def _sweep_and_jump_paths(monkeypatch, mesh, law, cell_dp, instrument=None):
